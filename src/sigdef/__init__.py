@@ -6,20 +6,8 @@ signed graphs (with a stable-cover witness), and constructive switching
 machinery.
 """
 
-from .core import (
-    Coloration,
-    SignedGraph,
-    TwoChromaticCase,
-    build_graph,
-    classify_two_chromatic,
-    coloration_from_cover,
-    covers_positive,
-    deficiency,
-    is_proper,
-    is_stable,
-    switch,
-    switch_coloration,
-)
+from . import core, oracle, sgio
+from .core import *  # noqa: F403
 from .maxdef import (
     ForcingGraph,
     MatchedState,
@@ -30,72 +18,23 @@ from .maxdef import (
     flatten,
     maxdef,
 )
-from .oracle import (
-    DEFAULT_EXHAUSTIVE_BOUND,
-    DEFAULT_PAIR_BOUND,
-    DEFAULT_SWITCHING_BOUND,
-    BoundExceededError,
-    DeficiencyReport,
-    NotThreeChromaticError,
-    SwitchingReport,
-    achieve_switching_deficiency,
-    chromatic_number,
-    deficiency_report,
-    max_deficiency_3chromatic,
-    recolor_lone_negative,
-    stable_positive_cover,
-    switching_report,
-)
-from .sgio import (
-    SgParseError,
-    export_dot,
-    generate_general,
-    generate_matched,
-    parse_sg,
-    serialize_sg,
-)
+from .oracle import *  # noqa: F403
+from .sgio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# The step functions stay in sigdef.maxdef; the package re-exports the
+# decision, its result and state types, flatten and the forcing graph.
 __all__ = [
-    "SignedGraph",
-    "Coloration",
-    "TwoChromaticCase",
-    "build_graph",
-    "is_proper",
-    "deficiency",
-    "switch",
-    "switch_coloration",
-    "classify_two_chromatic",
-    "coloration_from_cover",
-    "is_stable",
-    "covers_positive",
-    "DeficiencyReport",
-    "SwitchingReport",
-    "BoundExceededError",
-    "NotThreeChromaticError",
-    "chromatic_number",
-    "deficiency_report",
-    "stable_positive_cover",
-    "max_deficiency_3chromatic",
-    "switching_report",
-    "achieve_switching_deficiency",
-    "recolor_lone_negative",
-    "DEFAULT_EXHAUSTIVE_BOUND",
-    "DEFAULT_SWITCHING_BOUND",
-    "DEFAULT_PAIR_BOUND",
-    "MatchedState",
+    *core.__all__,
+    *oracle.__all__,
+    *sgio.__all__,
     "ForcingGraph",
+    "MatchedState",
     "MaxDefResult",
     "NotBipartite",
     "TraceEntry",
+    "build_forcing_graph",
     "flatten",
     "maxdef",
-    "build_forcing_graph",
-    "SgParseError",
-    "parse_sg",
-    "serialize_sg",
-    "generate_matched",
-    "generate_general",
-    "export_dot",
 ]

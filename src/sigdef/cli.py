@@ -53,25 +53,32 @@ def _coloration_json(g: SignedGraph, kappa: Coloration) -> dict:
     }
 
 
-def _emit_report(args, result: dict, started: float, seed: int | None) -> None:
-    report = {
-        "schema": "sigdef/1",
-        "command": args.command,
-        "argv": list(getattr(args, "_argv", [])),
-        "result": result,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        "seed": seed,
-    }
-    print(json.dumps(report))
+def _run_report(args) -> int:
+    """Shared path of the JSON-reporting subcommands: parse the input file,
+    if the command takes one, then time ``args.report(args, g)`` and print
+    the payload it returns; ``elapsed_ms`` leaves parsing out.  The builder
+    returns ``(payload, exit code)``, with payload None to print nothing."""
+    g = _load(args.file) if "file" in args else None
+    started = time.perf_counter()
+    result, code = args.report(args, g)
+    if result is not None:
+        report = {
+            "schema": "sigdef/1",
+            "command": args.command,
+            "argv": list(getattr(args, "_argv", [])),
+            "result": result,
+            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "seed": getattr(args, "seed", None),
+        }
+        print(json.dumps(report))
+    return code
 
 
 def _split_labels(raw: str) -> list[str]:
     return [part for part in raw.split(",") if part]
 
 
-def _cmd_maxdef(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
+def _cmd_maxdef(args, g: SignedGraph) -> tuple[dict, int]:
     if not args.assume_chromatic_3 and g.n > oracle.DEFAULT_EXHAUSTIVE_BOUND:
         print(
             f"note: {g.n} vertices exceed the exhaustive bound of "
@@ -83,53 +90,34 @@ def _cmd_maxdef(args) -> int:
     payload = result.to_json()
     if args.trace:
         payload["trace"] = [entry.to_json() for entry in result.trace]
-    _emit_report(args, payload, started, None)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_chromatic(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
-    chi = oracle.chromatic_number(g)
-    _emit_report(args, {"chi": chi}, started, None)
-    return EXIT_OK
+def _cmd_chromatic(args, g: SignedGraph) -> tuple[dict, int]:
+    return {"chi": oracle.chromatic_number(g)}, EXIT_OK
 
 
-def _cmd_deficiency(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
+def _cmd_deficiency(args, g: SignedGraph) -> tuple[dict, int]:
     rep = oracle.deficiency_report(g)
-    _emit_report(
-        args,
-        {
-            "chi": rep.chi,
-            "range": sorted(rep.range),
-            "max": rep.max_deficiency,
-            "min": rep.min_deficiency,
-            "witness_max": _coloration_json(g, rep.witness_max),
-            "witness_min": _coloration_json(g, rep.witness_min),
-        },
-        started,
-        None,
-    )
-    return EXIT_OK
+    payload = {
+        "chi": rep.chi,
+        "range": sorted(rep.range),
+        "max": rep.max_deficiency,
+        "min": rep.min_deficiency,
+        "witness_max": _coloration_json(g, rep.witness_max),
+        "witness_min": _coloration_json(g, rep.witness_min),
+    }
+    return payload, EXIT_OK
 
 
-def _cmd_classify2(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
+def _cmd_classify2(args, g: SignedGraph) -> tuple[dict | None, int]:
     chi = oracle.chromatic_number(g)
     if chi != 2:
         print(f"error: graph is {chi}-chromatic, not 2-chromatic", file=sys.stderr)
-        return EXIT_VIOLATION
+        return None, EXIT_VIOLATION
     case = classify_two_chromatic(g)
-    _emit_report(
-        args,
-        {"case": case.name, "M": case.max_deficiency, "m": case.min_deficiency},
-        started,
-        None,
-    )
-    return EXIT_OK
+    payload = {"case": case.name, "M": case.max_deficiency, "m": case.min_deficiency}
+    return payload, EXIT_OK
 
 
 def _cmd_switch(args) -> int:
@@ -139,9 +127,7 @@ def _cmd_switch(args) -> int:
     return EXIT_OK
 
 
-def _cmd_switching_range(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
+def _cmd_switching_range(args, g: SignedGraph) -> tuple[dict, int]:
     rep = oracle.switching_report(g)
     witnesses = {
         str(d): {
@@ -150,28 +136,16 @@ def _cmd_switching_range(args) -> int:
         }
         for d, (A, kappa) in sorted(rep.witnesses.items())
     }
-    _emit_report(
-        args,
-        {"chi": rep.chi, "range": sorted(rep.range), "witnesses": witnesses},
-        started,
-        None,
-    )
-    return EXIT_OK
+    return {"chi": rep.chi, "range": sorted(rep.range), "witnesses": witnesses}, EXIT_OK
 
 
-def _cmd_cover_check(args) -> int:
-    g = _load(args.file)
-    started = time.perf_counter()
+def _cmd_cover_check(args, g: SignedGraph) -> tuple[dict, int]:
     ids = g.ids_of(_split_labels(args.cover))
     stable = is_stable(g, ids)
     covers = covers_positive(g, ids)
-    _emit_report(
-        args,
-        {"stable": stable, "covers_positive": covers, "ok": stable and covers},
-        started,
-        None,
-    )
-    return EXIT_OK if stable and covers else EXIT_VIOLATION
+    ok = stable and covers
+    payload = {"stable": stable, "covers_positive": covers, "ok": ok}
+    return payload, EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_gen(args) -> int:
@@ -218,8 +192,7 @@ def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> Sign
     )
 
 
-def _cmd_crosscheck(args) -> int:
-    started = time.perf_counter()
+def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
     rng = random.Random(args.seed)
     mismatches = 0
     compared = 0
@@ -240,7 +213,7 @@ def _cmd_crosscheck(args) -> int:
             continue
         truth = oracle.stable_positive_cover(g)
         result = maxdef(g, assume_chromatic_3=True, validate=True)
-        invariant_checks += _trace_checks(result)
+        invariant_checks += result.checks
         compared += 1
         expected = 1 if truth is not None else 0
         if result.value != expected:
@@ -253,24 +226,15 @@ def _cmd_crosscheck(args) -> int:
         if g.n <= oracle.DEFAULT_EXHAUSTIVE_BOUND:
             if oracle.chromatic_number(g) == 3:
                 chromatic3 += 1
-    _emit_report(
-        args,
-        {
-            "instances": args.count,
-            "compared": compared,
-            "refused_no_positive_edge": refused,
-            "chromatic3_certified": chromatic3,
-            "invariant_checks": invariant_checks,
-            "mismatches": mismatches,
-        },
-        started,
-        args.seed,
-    )
-    return EXIT_OK if mismatches == 0 else EXIT_VIOLATION
-
-
-def _trace_checks(result) -> int:
-    return result.checks
+    payload = {
+        "instances": args.count,
+        "compared": compared,
+        "refused_no_positive_edge": refused,
+        "chromatic3_certified": chromatic3,
+        "invariant_checks": invariant_checks,
+        "mismatches": mismatches,
+    }
+    return payload, EXIT_OK if mismatches == 0 else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,19 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the exhaustive 3-chromatic precondition check",
     )
-    p.set_defaults(func=_cmd_maxdef)
+    p.set_defaults(func=_run_report, report=_cmd_maxdef)
 
     p = sub.add_parser("chromatic", help="exact chromatic number (small graphs)")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_chromatic)
+    p.set_defaults(func=_run_report, report=_cmd_chromatic)
 
     p = sub.add_parser("deficiency", help="deficiency range with witnesses")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_deficiency)
+    p.set_defaults(func=_run_report, report=_cmd_deficiency)
 
     p = sub.add_parser("classify2", help="closed-form 2-chromatic classification")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_classify2)
+    p.set_defaults(func=_run_report, report=_cmd_classify2)
 
     p = sub.add_parser("switch", help="switch a vertex set, print the .sg result")
     p.add_argument("file")
@@ -308,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("switching-range", help="deficiencies across all switchings")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_switching_range)
+    p.set_defaults(func=_run_report, report=_cmd_switching_range)
 
     p = sub.add_parser("cover-check", help="verify a stable cover of E+")
     p.add_argument("file")
     p.add_argument("--cover", required=True, help="comma-separated vertex labels")
-    p.set_defaults(func=_cmd_cover_check)
+    p.set_defaults(func=_run_report, report=_cmd_cover_check)
 
     p = sub.add_parser("gen", help="generate a seeded random graph as .sg")
     p.add_argument("--pairs", type=int, help="matched pairs (matched mode)")
@@ -337,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-pairs", type=int, default=8)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_crosscheck)
+    p.set_defaults(func=_run_report, report=_cmd_crosscheck)
 
     return parser
 
@@ -355,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except sgio.SgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except oracle.BoundExceededError as exc:

@@ -358,23 +358,9 @@ def coloration_from_cover(g: SignedGraph, cover: Iterable[int]) -> Coloration:
     -1 unused.
     """
     inside = _check_vertex_ids(g, cover)
-    for v in inside:
-        for u in g.pos_adj[v]:
-            if u in inside and u > v:
-                raise ValueError(
-                    f"cover is not stable: positive edge "
-                    f"({g.labels[v]!r}, {g.labels[u]!r}) inside it"
-                )
-        for u in g.neg_adj[v]:
-            if u in inside and u > v:
-                raise ValueError(
-                    f"cover is not stable: negative edge "
-                    f"({g.labels[v]!r}, {g.labels[u]!r}) inside it"
-                )
-    for u, v in g.positive_edges():
-        if u not in inside and v not in inside:
-            raise ValueError(
-                f"positive edge ({g.labels[u]!r}, {g.labels[v]!r}) is uncovered"
-            )
+    if not is_stable(g, inside):
+        raise ValueError("cover is not stable: an edge has both ends inside it")
+    if not covers_positive(g, inside):
+        raise ValueError("a positive edge is uncovered by the cover")
     colors = tuple(0 if v in inside else 1 for v in range(g.n))
     return Coloration(colors, k=1, uses_zero=True)

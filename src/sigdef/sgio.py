@@ -43,8 +43,6 @@ def parse_sg(text: str) -> SignedGraph:
     """
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
-    seen: set[tuple[frozenset[str], str]] = set()
-    duplicates = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,19 +60,16 @@ def parse_sg(text: str) -> SignedGraph:
             _, a, b, sign = parts
             if a == b:
                 raise SgParseError(line_no, f"loop edge on {a!r} not allowed")
-            key = (frozenset((a, b)), sign)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
             edges.append((a, b, sign))
         else:
             raise SgParseError(line_no, f"unknown directive {parts[0]!r}")
+    g = build_graph(edges, vertices=vertices)
+    duplicates = len(edges) - (g.positive_edge_count + g.negative_edge_count)
     if duplicates:
         warnings.warn(
             f"collapsed {duplicates} duplicate same-sign edge(s)", stacklevel=2
         )
-    return build_graph(edges, vertices=vertices)
+    return g
 
 
 def serialize_sg(g: SignedGraph) -> str:

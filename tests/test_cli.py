@@ -211,3 +211,10 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 2
+
+    def test_directory_path_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["maxdef", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -456,3 +456,35 @@ class TestMaxDefRuns:
             assert set(payload) == {
                 "step", "detail", "pairs_removed", "s_added", "b_added", "merges",
             }
+
+
+class TestChecksSurviveOptimize:
+    def test_corrupt_state_raises_under_python_O(self):
+        # A negative edge inside a matched pair must be caught even when
+        # ``python -O`` strips assert statements.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sigdef
+
+        script = (
+            "from sigdef import build_graph\n"
+            "from sigdef.maxdef import flatten\n"
+            "st = flatten(build_graph([('a1', 'b1', '+'), ('a2', 'b2', '+'),"
+            " ('a1', 'a2', '-')]))\n"
+            "st.neg[0].add(1)\n"
+            "st.neg[1].add(0)\n"
+            "try:\n"
+            "    st.check_invariants()\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, st.checks, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False 0 negative edge inside a matched pair\n"
