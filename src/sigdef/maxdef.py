@@ -455,6 +455,8 @@ def _identify(st: MatchedState, mapping: dict[int, int]) -> None:
     accumulate their recovery sets.  Only runs while the forbidden set is
     empty."""
     _check(not st.forbidden, "identifications only happen with nothing forbidden")
+    # Keys stay ascending: every survivor is lower than the ids it absorbs.
+    # Key order fixes set insertion order, and with it the traces.
     st.neg = _contract(
         (x for x in st.neg if x not in mapping),
         ((u, w) for u, nbrs in st.neg.items() for w in nbrs if w >= u),
