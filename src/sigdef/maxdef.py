@@ -29,7 +29,9 @@ landing on one vertex into loops, drops edges inside a pair and merges
 parallels.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
-vertex's partner is always ``id ^ 1`` and survives every contraction.
+vertex's partner is always ``id ^ 1`` and survives every contraction.  The
+working state keeps its live ids in ascending order, so the ladder's
+lowest-first choices read that order instead of sorting the live ids.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ class MatchedState:
     original vertices that survived flattening and are not yet committed to
     the cover or dropped with a removed partner.  ``forbidden`` holds live
     ids only: dead ids are purged whenever a pair is deleted.
+
+    The keys of ``neg`` are in ascending order, and both sides of a pair are
+    live together.  Flattening inserts 2p and 2p+1 in order, deleting a pair
+    only pops keys, and contraction keeps the survivors' order; key order
+    also fixes set insertion order, and with it the traces.
     """
 
     source: SignedGraph
@@ -119,10 +126,10 @@ class MatchedState:
     checks: int = 0
 
     def live_pairs(self) -> list[int]:
-        return sorted({x >> 1 for x in self.neg})
+        return [x >> 1 for x in self.neg if not x & 1]
 
     def live_ids(self) -> list[int]:
-        return sorted(self.neg)
+        return list(self.neg)
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
@@ -133,7 +140,9 @@ class MatchedState:
     def check_invariants(self) -> None:
         """Structural sanity of the matched form; cheap, and raises
         AssertionError on a violation even under ``python -O``."""
-        live = set(self.neg)
+        keys = list(self.neg)
+        _check(keys == sorted(keys), "live ids out of ascending order")
+        live = set(keys)
         for x in live:
             _check(x ^ 1 in live, "positive matching broken: lone pair side")
         for x, nbrs in self.neg.items():
@@ -220,10 +229,8 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
     contract: dict[int, int] = {}
     recovery: dict[int, set[int]] = {}
     pair = 0
-    collapsed_any = False
-    seen: set[int] = set()
     for root in kept:
-        if root in seen:
+        if root in contract:
             continue
         side = {root: 0}
         comp = [root]
@@ -237,9 +244,6 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
                     queue.append(w)
                 elif side[w] == side[u]:
                     return NotBipartite(component=g.labels_of(comp))
-        seen.update(comp)
-        if len(comp) > 2:
-            collapsed_any = True
         a_id, b_id = 2 * pair, 2 * pair + 1
         for v in comp:
             contract[v] = a_id if side[v] == 0 else b_id
@@ -267,7 +271,7 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
                 f"positive incidence: {', '.join(g.labels_of(dropped_step1))}",
             )
         )
-    if collapsed_any:
+    if len(kept) > 2 * pair:  # some component had more than two vertices
         loops = sum(1 for x in neg if x in neg[x])
         state.trace.append(
             TraceEntry(
@@ -316,61 +320,57 @@ def step3_check(st: MatchedState) -> int | None:
     side is unusable when forbidden or looped and at least one side is
     forbidden.  Such a pair ends the run with value 0.  (Pairs blocked by
     loops alone belong to the loop checks, steps 5 and 6.)"""
-    for p in st.live_pairs():
+    for p in sorted({x >> 1 for x in st.forbidden}):
         x, y = 2 * p, 2 * p + 1
-        x_forbidden, y_forbidden = x in st.forbidden, y in st.forbidden
-        if not (x_forbidden or y_forbidden):
-            continue
-        if (x_forbidden or st.has_loop(x)) and (y_forbidden or st.has_loop(y)):
+        if (x in st.forbidden or st.has_loop(x)) and (
+            y in st.forbidden or st.has_loop(y)
+        ):
             return p
     return None
 
 
 def step4_resolve(st: MatchedState) -> bool:
-    """For the lowest pair with one side forbidden, commit the partner."""
-    for p in st.live_pairs():
-        for x in (2 * p, 2 * p + 1):
-            if x in st.forbidden:
-                _commit(
-                    st,
-                    x ^ 1,
-                    step=4,
-                    detail=f"{side_name(x)} is forbidden, so "
-                    f"{side_name(x ^ 1)} must join the cover",
-                )
-                return True
-    return False
+    """For the lowest forbidden id, commit the partner."""
+    if not st.forbidden:
+        return False
+    x = min(st.forbidden)
+    _commit(
+        st,
+        x ^ 1,
+        step=4,
+        detail=f"{side_name(x)} is forbidden, so "
+        f"{side_name(x ^ 1)} must join the cover",
+    )
+    return True
 
 
 def step5_check(st: MatchedState) -> int | None:
     """Lowest pair with loops on both sides; ends the run with value 0."""
-    for p in st.live_pairs():
-        if st.has_loop(2 * p) and st.has_loop(2 * p + 1):
-            return p
+    for x, nbrs in st.neg.items():
+        if x in nbrs and st.has_loop(x ^ 1):
+            return x >> 1
     return None
 
 
 def step6_resolve(st: MatchedState) -> bool:
-    """For the lowest pair with a loop on one side, commit the partner."""
-    for p in st.live_pairs():
-        for x in (2 * p, 2 * p + 1):
-            if st.has_loop(x):
-                _commit(
-                    st,
-                    x ^ 1,
-                    step=6,
-                    detail=f"{side_name(x)} has a loop, so "
-                    f"{side_name(x ^ 1)} must join the cover",
-                )
-                return True
+    """For the lowest id with a loop, commit the partner."""
+    for x, nbrs in st.neg.items():
+        if x in nbrs:
+            _commit(
+                st,
+                x ^ 1,
+                step=6,
+                detail=f"{side_name(x)} has a loop, so "
+                f"{side_name(x ^ 1)} must join the cover",
+            )
+            return True
     return False
 
 
 def step7_resolve(st: MatchedState) -> bool:
     """A vertex adjacent to both sides of another pair can never be covered,
     so its partner is committed.  Lowest such vertex acts."""
-    for x in st.live_ids():
-        nbrs = st.neg[x]
+    for x, nbrs in st.neg.items():
         for nb in nbrs:
             if nb != x and nb ^ 1 in nbrs:
                 _commit(
@@ -388,27 +388,29 @@ def step7_resolve(st: MatchedState) -> bool:
 def step8_merge(st: MatchedState) -> bool:
     """Identify cross-forced pairs: when x~y and partner(x)~partner(y), any
     cover containing x also contains partner(y), so those two collapse into
-    one vertex (and likewise partner(x) with y).  The surviving pair keeps
-    the lower pair's ids."""
-    for x in st.live_ids():
-        candidates = [y for y in st.neg[x] if y >> 1 != x >> 1]
-        for y in sorted(candidates):
-            if y ^ 1 in st.neg[x ^ 1]:
-                _identify(st, {y ^ 1: x, y: x ^ 1})
-                st.trace.append(
-                    TraceEntry(
-                        step=8,
-                        detail=f"edges {side_name(x)}~{side_name(y)} and "
-                        f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the "
-                        "pairs together",
-                        pairs_removed=1,
-                        merges=(
-                            (side_name(x), side_name(y ^ 1)),
-                            (side_name(x ^ 1), side_name(y)),
-                        ),
-                    )
-                )
-                return True
+    one vertex (and likewise partner(x) with y).  The lowest such x acts,
+    with its lowest y; the surviving pair keeps the lower pair's ids."""
+    for x, nbrs in st.neg.items():
+        partner_nbrs = st.neg[x ^ 1]
+        forced = [y for y in nbrs if y ^ 1 in partner_nbrs and y >> 1 != x >> 1]
+        if not forced:
+            continue
+        y = min(forced)
+        _identify(st, {y ^ 1: x, y: x ^ 1})
+        st.trace.append(
+            TraceEntry(
+                step=8,
+                detail=f"edges {side_name(x)}~{side_name(y)} and "
+                f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the "
+                "pairs together",
+                pairs_removed=1,
+                merges=(
+                    (side_name(x), side_name(y ^ 1)),
+                    (side_name(x ^ 1), side_name(y)),
+                ),
+            )
+        )
+        return True
     return False
 
 
@@ -416,8 +418,8 @@ def step9_pendant(st: MatchedState) -> bool:
     """Commit the lowest vertex whose only incidence is its matching edge.
     The choice is free but safe: a cover exists exactly when one through
     this vertex does."""
-    for x in st.live_ids():
-        if not st.neg[x] and x not in st.forbidden:
+    for x, nbrs in st.neg.items():
+        if not nbrs and x not in st.forbidden:
             _commit(
                 st,
                 x,
@@ -455,8 +457,6 @@ def _identify(st: MatchedState, mapping: dict[int, int]) -> None:
     accumulate their recovery sets.  Only runs while the forbidden set is
     empty."""
     _check(not st.forbidden, "identifications only happen with nothing forbidden")
-    # Keys stay ascending: every survivor is lower than the ids it absorbs.
-    # Key order fixes set insertion order, and with it the traces.
     st.neg = _contract(
         (x for x in st.neg if x not in mapping),
         ((u, w) for u, nbrs in st.neg.items() for w in nbrs if w >= u),
@@ -473,8 +473,7 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
     one negative edge between any two pairs."""
     _check(bool(st.neg), "forcing graph of an empty graph")
     out: dict[int, tuple[int, ...]] = {}
-    for x in st.live_ids():
-        nbrs = st.neg[x]
+    for x, nbrs in st.neg.items():
         _check(x not in nbrs, "loop survived to the forcing stage")
         _check(bool(nbrs), "degree-one vertex survived to the forcing stage")
         seen_pairs = {nb >> 1 for nb in nbrs}
@@ -483,7 +482,8 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
     for x, succs in out.items():
         for y in succs:
             _check(x ^ 1 in out[y ^ 1], "forcing edges must mirror")
-    st.checks += 1
+    if st.validate:
+        st.checks += 1
     return ForcingGraph(out_adj=out)
 
 
@@ -566,23 +566,22 @@ def maxdef(
     g: SignedGraph,
     *,
     assume_chromatic_3: bool = False,
-    chromatic_bound: int = oracle.DEFAULT_EXHAUSTIVE_BOUND,
     validate: bool = False,
 ) -> MaxDefResult:
     """Decide whether the maximum deficiency of a 3-chromatic signed graph
     is 1 (emitting a stable cover of its positive edges) or 0.
 
     The 3-chromatic precondition is verified exhaustively when the graph has
-    at most ``chromatic_bound`` vertices and ``assume_chromatic_3`` is off;
-    larger inputs run on the caller's assertion.  With ``validate`` on, the
-    structural invariants of the working state are checked after flattening
-    and after every action.
+    at most ``oracle.DEFAULT_EXHAUSTIVE_BOUND`` vertices and
+    ``assume_chromatic_3`` is off; larger inputs run on the caller's
+    assertion.  With ``validate`` on, the structural invariants of the
+    working state are checked after flattening and after every action.
 
     Whatever the path, a value-1 result is self-certified: the returned
     cover is checked stable and positive-covering against the input graph.
     """
-    if not assume_chromatic_3 and g.n <= chromatic_bound:
-        chi = oracle.chromatic_number(g, bound=chromatic_bound)
+    if not assume_chromatic_3 and g.n <= oracle.DEFAULT_EXHAUSTIVE_BOUND:
+        chi = oracle.chromatic_number(g)
         if chi != 3:
             raise oracle.NotThreeChromaticError(chi)
 

@@ -285,37 +285,34 @@ class SwitchingReport:
     witnesses: Mapping[int, tuple[frozenset[int], Coloration]]
 
 
-def switching_report(
-    g: SignedGraph,
-    *,
-    bound: int = DEFAULT_SWITCHING_BOUND,
-    early_stop: bool = True,
-) -> SwitchingReport:
+def switching_report(g: SignedGraph) -> SwitchingReport:
     """Union of deficiency ranges over every switching of ``g``.
 
     Enumerates switch sets not containing vertex 0 (a set and its complement
     switch to the identical graph), recomputes the chromatic number of every
     switched graph, and records one (switch set, coloration) witness per
-    achieved deficiency.
+    achieved deficiency.  The walk ends once every achievable value has
+    appeared.  Graphs above ``DEFAULT_SWITCHING_BOUND`` vertices are refused.
     """
-    if g.n > bound:
+    if g.n > DEFAULT_SWITCHING_BOUND:
         raise BoundExceededError(
-            f"switching enumeration over {g.n} vertices exceeds the bound of {bound}"
+            f"switching enumeration over {g.n} vertices exceeds the bound of "
+            f"{DEFAULT_SWITCHING_BOUND}"
         )
-    chi = chromatic_number(g, bound=max(bound, g.n))
+    chi = chromatic_number(g)
     target = set(range(max_possible_deficiency(chi) + 1))
     witnesses: dict[int, tuple[frozenset[int], Coloration]] = {}
     free = list(range(1, g.n))
     for mask in range(1 << len(free)):
         A = frozenset(v for i, v in enumerate(free) if mask >> i & 1)
-        rep = deficiency_report(switch(g, A), bound=max(bound, g.n), early_stop=early_stop)
+        rep = deficiency_report(switch(g, A))
         if rep.chi != chi:
             raise AssertionError(
                 f"switching changed the chromatic number: {chi} -> {rep.chi}"
             )
         for d in sorted(rep.range):
             witnesses.setdefault(d, (A, rep.per_deficiency[d]))
-        if early_stop and target <= set(witnesses):
+        if target <= set(witnesses):
             break
     achieved = frozenset(witnesses)
     assert achieved <= target, "switching deficiency above floor(chi/2)"
@@ -330,8 +327,6 @@ def achieve_switching_deficiency(
     g: SignedGraph,
     kappa: Coloration,
     r: int,
-    *,
-    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
 ) -> tuple[frozenset[int], Coloration]:
     """Construct a switch set A and coloration of switch(g, A) with
     deficiency exactly ``r``, starting from any minimal proper ``kappa``.
@@ -345,7 +340,7 @@ def achieve_switching_deficiency(
     """
     if not is_proper(g, kappa):
         raise ValueError("coloration is not proper on the input graph")
-    chi = chromatic_number(g, bound=bound)
+    chi = chromatic_number(g)
     if kappa.size != chi:
         raise ValueError(
             f"coloration is not minimal: declares {kappa.size} colors, chi is {chi}"

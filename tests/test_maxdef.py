@@ -349,6 +349,11 @@ class TestMaxDefRuns:
         assert is_stable(worked_example, ids)
         assert covers_positive(worked_example, ids)
 
+    def test_checks_count_only_validated_batches(self, worked_example):
+        assert maxdef(worked_example, assume_chromatic_3=True).checks == 0
+        validated = maxdef(worked_example, assume_chromatic_3=True, validate=True)
+        assert validated.checks == 7
+
     def test_triangle(self, triangle):
         # w is dropped (negative-only), leaving the isolated pair {u, v};
         # canonical tie-breaking picks the low side, and either endpoint of
@@ -456,6 +461,14 @@ class TestMaxDefRuns:
             assert set(payload) == {
                 "step", "detail", "pairs_removed", "s_added", "b_added", "merges",
             }
+
+
+class TestLiveOrder:
+    def test_keys_out_of_ascending_order_rejected(self, worked_example):
+        st = flat(worked_example)
+        st.neg = dict(reversed(st.neg.items()))
+        with pytest.raises(AssertionError, match="ascending order"):
+            st.check_invariants()
 
 
 class TestChecksSurviveOptimize:
