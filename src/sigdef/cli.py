@@ -13,6 +13,7 @@ violated check, 2 usage/parse error, 3 exhaustive bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -79,14 +80,14 @@ def _split_labels(raw: str) -> list[str]:
 
 
 def _cmd_maxdef(args, g: SignedGraph) -> tuple[dict, int]:
-    if not args.assume_chromatic_3 and g.n > oracle.DEFAULT_EXHAUSTIVE_BOUND:
+    result = maxdef(g, assume_chromatic_3=args.assume_chromatic_3)
+    if not (result.chi_verified or args.assume_chromatic_3):
         print(
             f"note: {g.n} vertices exceed the exhaustive bound of "
             f"{oracle.DEFAULT_EXHAUSTIVE_BOUND}; the 3-chromatic precondition "
             "is not verified",
             file=sys.stderr,
         )
-    result = maxdef(g, assume_chromatic_3=args.assume_chromatic_3)
     payload = result.to_json()
     if args.trace:
         payload["trace"] = [entry.to_json() for entry in result.trace]
@@ -237,6 +238,7 @@ def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
     return payload, EXIT_OK if mismatches == 0 else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigdef", description="Deficiency analysis of signed graphs"

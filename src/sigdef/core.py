@@ -35,6 +35,12 @@ __all__ = [
 _SIGN_VALUES = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
+def _check(ok: bool, message: str) -> None:
+    """Internal-defect check; unlike ``assert`` it survives ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _as_sign(raw) -> int:
     try:
         return _SIGN_VALUES[raw]

@@ -23,10 +23,11 @@ Rule ladder, in priority order (numbering is part of the trace contract):
 ``maxdef`` is the single dispatcher: it tries steps 3..9 in order, ends
 the run on a blocked pair (3, 5), and after every action checks that the
 pair count shrank and, when validating, the invariants.  Flattening
-(steps 1-2) and identification (steps 8, 12) share one contraction routine,
-``_contract``, which maps edge endpoints to representatives, turns edges
-landing on one vertex into loops, drops edges inside a pair and merges
-parallels.
+(steps 1-2) contracts each positive component's sides into one pair;
+identification (steps 8, 12) merges vertices in place.  Either way an edge
+landing on one vertex becomes a loop, one landing inside a pair is dropped,
+and parallels merge.  Every rule names its choice by id, never by set
+iteration order, so neighbor sets can be mutated freely.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
@@ -37,10 +38,9 @@ lowest-first choices read that order instead of sorting the live ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import oracle
-from .core import SignedGraph, covers_positive, is_stable
+from .core import SignedGraph, _check, covers_positive, is_stable
 
 __all__ = [
     "TraceEntry",
@@ -109,9 +109,9 @@ class MatchedState:
     ids only: dead ids are purged whenever a pair is deleted.
 
     The keys of ``neg`` are in ascending order, and both sides of a pair are
-    live together.  Flattening inserts 2p and 2p+1 in order, deleting a pair
-    only pops keys, and contraction keeps the survivors' order; key order
-    also fixes set insertion order, and with it the traces.
+    live together.  Flattening builds ``neg`` with 2p and 2p+1 in order;
+    deleting a pair and identifying vertices in place only pop keys.  No
+    rule reads the iteration order of a neighbor set.
     """
 
     source: SignedGraph
@@ -167,12 +167,6 @@ class MatchedState:
         self.checks += 1
 
 
-def _check(ok: bool, message: str) -> None:
-    """Internal-defect check; unlike ``assert`` it survives ``python -O``."""
-    if not ok:
-        raise AssertionError(message)
-
-
 @dataclass(frozen=True)
 class ForcingGraph:
     """Digraph of forced cover decisions: x -> y present exactly when x is
@@ -187,13 +181,15 @@ class MaxDefResult:
     """Outcome of a run: the 0/1 maximum deficiency, a stable cover of the
     positive edges in original labels when the answer is 1, the step that
     ended the run, and the full action trace.  ``checks`` counts the
-    invariant batches asserted when the run was validated."""
+    invariant batches asserted when the run was validated; ``chi_verified``,
+    left out of the JSON, says whether chi = 3 was checked exhaustively."""
 
     value: int
     cover: tuple[str, ...] | None
     terminating_step: int
     trace: tuple[TraceEntry, ...]
     checks: int = 0
+    chi_verified: bool = False
 
     @property
     def steps_fired(self) -> tuple[int, ...]:
@@ -223,8 +219,7 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
             "no positive edge: the input cannot be 3-chromatic and has "
             "nothing to cover"
         )
-    kept_set = set(kept)
-    dropped_step1 = [v for v in range(g.n) if v not in kept_set]
+    dropped_step1 = [v for v in range(g.n) if not g.pos_adj[v]]
 
     contract: dict[int, int] = {}
     recovery: dict[int, set[int]] = {}
@@ -251,11 +246,17 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
         recovery[b_id] = {v for v in comp if side[v] == 1}
         pair += 1
 
-    neg = _contract(
-        recovery,
-        ((u, w) for u in kept for w in g.neg_adj[u] if w > u and w in kept_set),
-        contract,
-    )
+    neg: dict[int, set[int]] = {x: set() for x in recovery}
+    for u in kept:
+        cu = contract[u]
+        for w in g.neg_adj[u]:
+            if w > u and w in contract:
+                cw = contract[w]
+                if cu == cw:
+                    neg[cu].add(cu)
+                elif cu != cw ^ 1:
+                    neg[cu].add(cw)
+                    neg[cw].add(cu)
     state = MatchedState(
         source=g,
         neg=neg,
@@ -369,16 +370,18 @@ def step6_resolve(st: MatchedState) -> bool:
 
 def step7_resolve(st: MatchedState) -> bool:
     """A vertex adjacent to both sides of another pair can never be covered,
-    so its partner is committed.  Lowest such vertex acts."""
+    so its partner is committed.  Lowest such vertex acts, with its lowest
+    pair."""
     for x, nbrs in st.neg.items():
         for nb in nbrs:
             if nb != x and nb ^ 1 in nbrs:
+                low = min(w for w in nbrs if w != x and w ^ 1 in nbrs)
                 _commit(
                     st,
                     x ^ 1,
                     step=7,
                     detail=f"{side_name(x)} is adjacent to both "
-                    f"{side_name(nb & ~1)} and {side_name(nb | 1)}, so "
+                    f"{side_name(low)} and {side_name(low ^ 1)}, so "
                     f"{side_name(x ^ 1)} must join the cover",
                 )
                 return True
@@ -430,39 +433,22 @@ def step9_pendant(st: MatchedState) -> bool:
     return False
 
 
-def _contract(
-    survivors: Iterable[int],
-    edges: Iterable[tuple[int, int]],
-    rep: dict[int, int],
-) -> dict[int, set[int]]:
-    """Negative adjacency on ``survivors`` after mapping each endpoint of
-    ``edges`` through ``rep`` (ids absent from it map to themselves).
-
-    An edge landing on a single vertex becomes a loop, one landing inside a
-    matched pair is deleted, and parallel edges merge.  Each edge is listed
-    once; insertion follows ``edges``, so the result is deterministic."""
-    neg: dict[int, set[int]] = {x: set() for x in survivors}
-    for u, w in edges:
-        mu, mw = rep.get(u, u), rep.get(w, w)
-        if mu == mw:
-            neg[mu].add(mu)
-        elif mu != mw ^ 1:
-            neg[mu].add(mw)
-            neg[mw].add(mu)
-    return neg
-
-
 def _identify(st: MatchedState, mapping: dict[int, int]) -> None:
-    """Contract vertices per ``mapping`` (absorbed id -> surviving id) and
+    """Merge each absorbed id into its survivor (``mapping``: absorbed id ->
+    surviving id) in place, in time linear in the absorbed ids' degrees, and
     accumulate their recovery sets.  Only runs while the forbidden set is
     empty."""
     _check(not st.forbidden, "identifications only happen with nothing forbidden")
-    st.neg = _contract(
-        (x for x in st.neg if x not in mapping),
-        ((u, w) for u, nbrs in st.neg.items() for w in nbrs if w >= u),
-        mapping,
-    )
     for dead, rep in mapping.items():
+        for w in st.neg.pop(dead):
+            if w in st.neg:
+                st.neg[w].discard(dead)
+            mw = mapping.get(w, w)
+            if mw == rep:
+                st.neg[rep].add(rep)
+            elif mw != rep ^ 1:
+                st.neg[rep].add(mw)
+                st.neg[mw].add(rep)
         st.recovery[rep] |= st.recovery.pop(dead)
 
 
@@ -539,6 +525,7 @@ def step12_contract(st: MatchedState, fg: ForcingGraph) -> bool:
 
 
 def _result(
+    chi_verified: bool,
     step: int,
     trace: list[TraceEntry],
     checks: int = 0,
@@ -551,6 +538,7 @@ def _result(
         terminating_step=step,
         trace=tuple(trace),
         checks=checks,
+        chi_verified=chi_verified,
     )
 
 
@@ -580,7 +568,8 @@ def maxdef(
     Whatever the path, a value-1 result is self-certified: the returned
     cover is checked stable and positive-covering against the input graph.
     """
-    if not assume_chromatic_3 and g.n <= oracle.DEFAULT_EXHAUSTIVE_BOUND:
+    chi_verified = not assume_chromatic_3 and g.n <= oracle.DEFAULT_EXHAUSTIVE_BOUND
+    if chi_verified:
         chi = oracle.chromatic_number(g)
         if chi != 3:
             raise oracle.NotThreeChromaticError(chi)
@@ -592,7 +581,7 @@ def maxdef(
             + ", ".join(st.component)
             + " has an odd cycle: no stable cover exists"
         )
-        return _result(2, [TraceEntry(step=2, detail=detail)])
+        return _result(chi_verified, 2, [TraceEntry(step=2, detail=detail)])
 
     # Looked up at call time, so that wrappers installed on the module
     # attributes (as the benchmark's tracer does) see every rule call.
@@ -618,7 +607,7 @@ def maxdef(
             if step in _BLOCKED_DETAILS:
                 detail = _BLOCKED_DETAILS[step].format(found + 1)
                 st.trace.append(TraceEntry(step=step, detail=detail))
-                return _result(step, st.trace, st.checks)
+                return _result(chi_verified, step, st.trace, st.checks)
             break
         else:
             if not st.neg:
@@ -633,7 +622,7 @@ def maxdef(
                     )
                 detail = "graph is empty; recovered cover " + ", ".join(cover)
                 st.trace.append(TraceEntry(step=10, detail=detail))
-                return _result(10, st.trace, st.checks, cover)
+                return _result(chi_verified, 10, st.trace, st.checks, cover)
             fg = build_forcing_graph(st)
             st.trace.append(
                 TraceEntry(
@@ -643,7 +632,7 @@ def maxdef(
                 )
             )
             if not step12_contract(st, fg):
-                return _result(12, st.trace, st.checks)
+                return _result(chi_verified, 12, st.trace, st.checks)
         _check(st.pair_count() < before, "action left the pair count flat")
         if st.validate:
             st.check_invariants()

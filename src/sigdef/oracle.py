@@ -16,6 +16,7 @@ from typing import Iterator, Mapping
 from .core import (
     Coloration,
     SignedGraph,
+    _check,
     deficiency,
     is_proper,
     switch,
@@ -156,17 +157,17 @@ def deficiency_report(
     found: dict[int, tuple[int, ...]] = {}
     for colors in _proper_assignments(g, chi):
         d = chi - len(set(colors)) if g.n else 0
-        assert d <= cap, "deficiency above floor(chi/2): enumeration defect"
+        _check(d <= cap, "deficiency above floor(chi/2): enumeration defect")
         if d not in found:
             found[d] = colors
             if early_stop and len(found) == cap + 1:
                 break
-    assert found, "a minimal proper coloration must exist"
+    _check(bool(found), "a minimal proper coloration must exist")
     witnesses = {
         d: Coloration(colors, k, uses_zero) for d, colors in found.items()
     }
     for kappa in witnesses.values():
-        assert is_proper(g, kappa) and kappa.size == chi
+        _check(is_proper(g, kappa) and kappa.size == chi, "witness not minimal proper")
     return DeficiencyReport(
         chi=chi,
         range=frozenset(found),
@@ -315,7 +316,7 @@ def switching_report(g: SignedGraph) -> SwitchingReport:
         if target <= set(witnesses):
             break
     achieved = frozenset(witnesses)
-    assert achieved <= target, "switching deficiency above floor(chi/2)"
+    _check(achieved <= target, "switching deficiency above floor(chi/2)")
     return SwitchingReport(chi=chi, range=achieved, witnesses=witnesses)
 
 
@@ -380,9 +381,9 @@ def achieve_switching_deficiency(
             flip(_color_class(kap, c))
 
     switched = switch(g, A)
-    assert is_proper(switched, kap), "construction lost properness"
+    _check(is_proper(switched, kap), "construction lost properness")
     achieved = deficiency(kap)[0]
-    assert achieved == r, f"construction reached deficiency {achieved}, wanted {r}"
+    _check(achieved == r, f"construction reached deficiency {achieved}, wanted {r}")
     return frozenset(A), kap
 
 
@@ -416,5 +417,5 @@ def recolor_lone_negative(
         if c == 0:
             colors[v] = unused_color if v in pos_w else -unused_color
     result = Coloration(tuple(colors), kappa.k, uses_zero=False)
-    assert is_proper(g, result), "recoloring must stay proper"
+    _check(is_proper(g, result), "recoloring must stay proper")
     return result

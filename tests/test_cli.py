@@ -48,6 +48,27 @@ def run_json(capsys, argv):
 
 
 class TestMaxdefCommand:
+    def test_parser_built_once_and_not_at_import(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sigdef
+        from sigdef.cli import build_parser
+
+        assert build_parser() is build_parser()
+        script = (
+            "from sigdef.cli import build_parser\n"
+            "print(build_parser.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout == "0\n", proc.stderr
+
     def test_worked_example(self, capsys, worked_file):
         code, report, err = run_json(capsys, ["maxdef", worked_file])
         assert code == 0

@@ -198,6 +198,20 @@ class TestStep7:
         truth = 1 if stable_positive_cover(g) is not None else 0
         assert maxdef(g, assume_chromatic_3=True, validate=True).value == truth
 
+    def test_names_lowest_pair_not_set_order(self):
+        # a1's neighbor set {16, 17, 2, 3} iterates a9, b9 first
+        g = generate_matched(
+            9,
+            0.0,
+            0,
+            negative_edges=[("a1", "a9"), ("a1", "b9"), ("a1", "a2"), ("a1", "b2")],
+        )
+        st = flat(g)
+        assert step7_resolve(st)
+        assert st.trace[-1].detail == (
+            "a1 is adjacent to both a2 and b2, so b1 must join the cover"
+        )
+
 
 class TestStep8:
     def test_worked_example_merges_pairs_6_and_7(self, worked_example):
@@ -216,6 +230,20 @@ class TestStep8:
         g = generate_matched(2, 0.0, 0, negative_edges=[("a1", "a2")])
         st = flat(g)
         assert not step8_merge(st)
+
+    def test_merge_leaves_untouched_sets_in_place(self, worked_example):
+        # pair 7 (ids 12, 13) is absorbed into pair 6; the adjacency dict and
+        # every set away from the absorbed ids stay the same objects
+        st = flat(worked_example)
+        neg, sets = st.neg, dict(st.neg)
+        absorbed = {12, 13}
+        near = absorbed.union(*(st.neg[x] for x in absorbed))
+        assert step8_merge(st)
+        assert st.neg is neg
+        assert absorbed.isdisjoint(st.neg)
+        untouched = [x for x in st.neg if x not in near]
+        assert untouched
+        assert all(st.neg[x] is sets[x] for x in untouched)
 
     def test_merge_that_creates_loop_later_resolved(self):
         # after merging, the surviving pair can pick up a loop from edges
@@ -348,6 +376,14 @@ class TestMaxDefRuns:
         ids = worked_example.ids_of(result.cover)
         assert is_stable(worked_example, ids)
         assert covers_positive(worked_example, ids)
+
+    def test_chi_verified_recorded_outside_json(self, worked_example, triangle):
+        assert maxdef(triangle).chi_verified
+        assert not maxdef(triangle, assume_chromatic_3=True).chi_verified
+        # 14 vertices exceed the exhaustive bound
+        result = maxdef(worked_example)
+        assert not result.chi_verified
+        assert "chi_verified" not in result.to_json()
 
     def test_checks_count_only_validated_batches(self, worked_example):
         assert maxdef(worked_example, assume_chromatic_3=True).checks == 0
@@ -501,3 +537,29 @@ class TestChecksSurviveOptimize:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False 0 negative edge inside a matched pair\n"
+
+
+def gadget_copies(k: int):
+    """k disjoint copies of a 4-pair gadget on which each round runs steps
+    11, 12, 8 and 9 and removes one copy."""
+    edges = []
+    for base in range(0, 4 * k, 4):
+        a1, b1, a2, b2, a3, b3, a4, b4 = (
+            f"{side}{base + i}" for i in range(1, 5) for side in "ab"
+        )
+        edges += [(a1, b2), (b1, b3), (b1, a4), (a2, a3), (b3, b4)]
+    return generate_matched(4 * k, 0.0, 0, negative_edges=edges)
+
+
+class TestGadgetFamily:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_agrees_with_oracle_one_copy_per_round(self, k):
+        g = gadget_copies(k)
+        result = maxdef(g, assume_chromatic_3=True, validate=True)
+        truth = 1 if stable_positive_cover(g) is not None else 0
+        assert result.value == truth
+        assert result.steps_fired == (11, 12, 8, 9) * k + (10,)
+
+    def test_hundred_copies(self):
+        result = maxdef(gadget_copies(100), assume_chromatic_3=True, validate=True)
+        assert result.value == 1

@@ -237,6 +237,36 @@ class TestAchieveSwitchingDeficiency:
         with pytest.raises(ValueError, match="not minimal"):
             achieve_switching_deficiency(triangle, fat, 0)
 
+    def test_construction_check_survives_python_O(self):
+        # With switching broken, the construction's own properness check
+        # must still fire when ``python -O`` strips assert statements.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sigdef
+
+        script = (
+            "from sigdef import Coloration, build_graph, oracle\n"
+            "from sigdef.oracle import achieve_switching_deficiency\n"
+            "oracle.switch = lambda g, A: g\n"
+            "g = build_graph([('u', 'v', '+'), ('u', 'w', '-'), ('v', 'w', '-')])\n"
+            "kap = Coloration.from_labels(g, {'u': 1, 'v': -1, 'w': 0}, k=1,"
+            " uses_zero=True)\n"
+            "try:\n"
+            "    print(achieve_switching_deficiency(g, kap, 1))\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False construction lost properness\n"
+
 
 class TestRecolorLoneNegative:
     def test_positive_edge_with_zero(self):
