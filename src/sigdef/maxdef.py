@@ -31,13 +31,17 @@ iteration order, so neighbor sets can be mutated freely.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
-working state keeps its live ids in ascending order, so the ladder's
-lowest-first choices read that order instead of sorting the live ids.
+working state keeps its live ids in ascending order, and keeps candidate
+sets for steps 5-9 (see ``MatchedState``): the set of looped ids, and one
+min-heap each for steps 7, 8 and 9.  Those rules read their lowest
+candidate from these instead of scanning every live id on every pass; the
+lowest qualifying id still acts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from . import oracle
 from .core import SignedGraph, _check, covers_positive, is_stable
@@ -112,6 +116,27 @@ class MatchedState:
     live together.  Flattening builds ``neg`` with 2p and 2p+1 in order;
     deleting a pair and identifying vertices in place only pop keys.  No
     rule reads the iteration order of a neighbor set.
+
+    Candidate sets for steps 5-9, built on construction from ``neg``.  Once
+    flattened, only ``_delete_pair`` and ``_identify`` change the graph, and
+    they keep these current:
+
+    * ``loops`` is exactly the set of live ids with a loop.  ``_identify``
+      runs only while it is empty, and adds each survivor that gains a
+      loop; ``_delete_pair`` discards the ids it removes.
+    * ``queues[k]`` for k = 7, 8, 9 is a min-heap of ids holding every live
+      id that passes step k's test (``_QUEUE_TESTS``), and possibly stale
+      ids.  The ascending key list is already a valid heap, so each starts
+      as a copy of it.  A rule pops the ids at the top that fail its test
+      and acts on the first that passes, so the lowest qualifying id acts.
+      A popped id stays popped because its test can only become true
+      through an event that pushes it again.  The tests of steps 7 and 8
+      become true only when an edge is added to x (step 7) or to x or its
+      partner (step 8); only ``_identify`` adds edges, and it pushes both
+      ends and their partners.  Step 9's test becomes true only when x's
+      neighbor set empties, which happens only in the two routines'
+      discards, and they push the emptied id.  Forbidden ids fail step 9's
+      test, and stay forbidden until their pair is deleted.
     """
 
     source: SignedGraph
@@ -124,12 +149,12 @@ class MatchedState:
     trace: list[TraceEntry] = field(default_factory=list)
     validate: bool = False
     checks: int = 0
+    loops: set[int] = field(init=False)
+    queues: dict[int, list[int]] = field(init=False)
 
-    def live_pairs(self) -> list[int]:
-        return [x >> 1 for x in self.neg if not x & 1]
-
-    def live_ids(self) -> list[int]:
-        return list(self.neg)
+    def __post_init__(self) -> None:
+        self.loops = {x for x, nbrs in self.neg.items() if x in nbrs}
+        self.queues = {step: list(self.neg) for step in _QUEUE_TESTS}
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
@@ -164,6 +189,13 @@ class MatchedState:
         _check(union.isdisjoint(settled), "recovered vertex already settled")
         _check(self.cover_ids.isdisjoint(self.dropped), "vertex covered and dropped")
         _check(union | settled == self.kept_originals, "kept vertex lost")
+        _check(
+            self.loops == {x for x in keys if x in self.neg[x]}, "loop set out of sync"
+        )
+        for step, test in _QUEUE_TESTS.items():
+            queued = set(self.queues[step])
+            lost = [x for x in keys if x not in queued and test(self, x)]
+            _check(not lost, f"step-{step} queue misses candidates {lost}")
         self.checks += 1
 
 
@@ -273,12 +305,11 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
             )
         )
     if len(kept) > 2 * pair:  # some component had more than two vertices
-        loops = sum(1 for x in neg if x in neg[x])
         state.trace.append(
             TraceEntry(
                 step=2,
                 detail=f"collapsed {len(kept)} vertices into {pair} matched "
-                f"pairs ({loops} with loops)",
+                f"pairs ({len(state.loops)} with loops)",
             )
         )
     if validate:
@@ -290,9 +321,19 @@ def _delete_pair(st: MatchedState, p: int) -> None:
     for x in (2 * p, 2 * p + 1):
         for nb in st.neg.pop(x):
             if nb != x and nb in st.neg:
-                st.neg[nb].discard(x)
+                _discard_edge(st, nb, x)
         st.recovery.pop(x)
         st.forbidden.discard(x)
+        st.loops.discard(x)
+
+
+def _discard_edge(st: MatchedState, w: int, dead: int) -> None:
+    """Drop ``dead`` from live ``w``'s neighbors; an emptied set queues ``w``
+    for step 9."""
+    nbrs = st.neg[w]
+    nbrs.discard(dead)
+    if not nbrs:
+        heappush(st.queues[9], w)
 
 
 def _commit(st: MatchedState, keep: int, step: int, detail: str) -> None:
@@ -347,45 +388,81 @@ def step4_resolve(st: MatchedState) -> bool:
 
 def step5_check(st: MatchedState) -> int | None:
     """Lowest pair with loops on both sides; ends the run with value 0."""
-    for x, nbrs in st.neg.items():
-        if x in nbrs and st.has_loop(x ^ 1):
-            return x >> 1
-    return None
+    both = [x for x in st.loops if st.has_loop(x ^ 1)]
+    return min(both) >> 1 if both else None
 
 
 def step6_resolve(st: MatchedState) -> bool:
     """For the lowest id with a loop, commit the partner."""
-    for x, nbrs in st.neg.items():
-        if x in nbrs:
-            _commit(
-                st,
-                x ^ 1,
-                step=6,
-                detail=f"{side_name(x)} has a loop, so "
-                f"{side_name(x ^ 1)} must join the cover",
-            )
-            return True
-    return False
+    if not st.loops:
+        return False
+    x = min(st.loops)
+    _commit(
+        st,
+        x ^ 1,
+        step=6,
+        detail=f"{side_name(x)} has a loop, so "
+        f"{side_name(x ^ 1)} must join the cover",
+    )
+    return True
+
+
+def _whole_pairs_seen(st: MatchedState, x: int) -> list[int]:
+    """Step 7's test: the ids w != x such that x is adjacent to both w and
+    partner(w)."""
+    nbrs = st.neg[x]
+    return [w for w in nbrs if w != x and w ^ 1 in nbrs]
+
+
+def _cross_forced(st: MatchedState, x: int) -> list[int]:
+    """Step 8's test: the ids y of other pairs with x~y and
+    partner(x)~partner(y)."""
+    partner_nbrs = st.neg[x ^ 1]
+    return [y for y in st.neg[x] if y ^ 1 in partner_nbrs and y >> 1 != x >> 1]
+
+
+def _is_pendant(st: MatchedState, x: int) -> bool:
+    """Step 9's test: x's only incidence is its matching edge, and x may
+    join the cover."""
+    return not st.neg[x] and x not in st.forbidden
+
+
+# The rules that read a candidate queue (see MatchedState), by step.
+_QUEUE_TESTS = {7: _whole_pairs_seen, 8: _cross_forced, 9: _is_pendant}
+
+
+def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] | None:
+    """Lowest live id in step's queue that passes its test, with what the
+    test found.  Dead ids and ids that fail are popped for good."""
+    queue, test = st.queues[step], _QUEUE_TESTS[step]
+    while queue:
+        x = queue[0]
+        if x in st.neg:
+            found = test(st, x)
+            if found:
+                return x, found
+        heappop(queue)
+    return None
 
 
 def step7_resolve(st: MatchedState) -> bool:
     """A vertex adjacent to both sides of another pair can never be covered,
     so its partner is committed.  Lowest such vertex acts, with its lowest
     pair."""
-    for x, nbrs in st.neg.items():
-        for nb in nbrs:
-            if nb != x and nb ^ 1 in nbrs:
-                low = min(w for w in nbrs if w != x and w ^ 1 in nbrs)
-                _commit(
-                    st,
-                    x ^ 1,
-                    step=7,
-                    detail=f"{side_name(x)} is adjacent to both "
-                    f"{side_name(low)} and {side_name(low ^ 1)}, so "
-                    f"{side_name(x ^ 1)} must join the cover",
-                )
-                return True
-    return False
+    hit = _lowest_queued(st, 7)
+    if hit is None:
+        return False
+    x, seen = hit
+    low = min(seen)
+    _commit(
+        st,
+        x ^ 1,
+        step=7,
+        detail=f"{side_name(x)} is adjacent to both "
+        f"{side_name(low)} and {side_name(low ^ 1)}, so "
+        f"{side_name(x ^ 1)} must join the cover",
+    )
+    return True
 
 
 def step8_merge(st: MatchedState) -> bool:
@@ -393,63 +470,74 @@ def step8_merge(st: MatchedState) -> bool:
     cover containing x also contains partner(y), so those two collapse into
     one vertex (and likewise partner(x) with y).  The lowest such x acts,
     with its lowest y; the surviving pair keeps the lower pair's ids."""
-    for x, nbrs in st.neg.items():
-        partner_nbrs = st.neg[x ^ 1]
-        forced = [y for y in nbrs if y ^ 1 in partner_nbrs and y >> 1 != x >> 1]
-        if not forced:
-            continue
-        y = min(forced)
-        _identify(st, {y ^ 1: x, y: x ^ 1})
-        st.trace.append(
-            TraceEntry(
-                step=8,
-                detail=f"edges {side_name(x)}~{side_name(y)} and "
-                f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the "
-                "pairs together",
-                pairs_removed=1,
-                merges=(
-                    (side_name(x), side_name(y ^ 1)),
-                    (side_name(x ^ 1), side_name(y)),
-                ),
-            )
+    hit = _lowest_queued(st, 8)
+    if hit is None:
+        return False
+    x, forced = hit
+    y = min(forced)
+    _identify(st, {y ^ 1: x, y: x ^ 1})
+    st.trace.append(
+        TraceEntry(
+            step=8,
+            detail=f"edges {side_name(x)}~{side_name(y)} and "
+            f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the "
+            "pairs together",
+            pairs_removed=1,
+            merges=(
+                (side_name(x), side_name(y ^ 1)),
+                (side_name(x ^ 1), side_name(y)),
+            ),
         )
-        return True
-    return False
+    )
+    return True
 
 
 def step9_pendant(st: MatchedState) -> bool:
     """Commit the lowest vertex whose only incidence is its matching edge.
     The choice is free but safe: a cover exists exactly when one through
     this vertex does."""
-    for x, nbrs in st.neg.items():
-        if not nbrs and x not in st.forbidden:
-            _commit(
-                st,
-                x,
-                step=9,
-                detail=f"{side_name(x)} has degree one and joins the cover",
-            )
-            return True
-    return False
+    hit = _lowest_queued(st, 9)
+    if hit is None:
+        return False
+    x = hit[0]
+    _commit(
+        st,
+        x,
+        step=9,
+        detail=f"{side_name(x)} has degree one and joins the cover",
+    )
+    return True
 
 
 def _identify(st: MatchedState, mapping: dict[int, int]) -> None:
     """Merge each absorbed id into its survivor (``mapping``: absorbed id ->
     surviving id) in place, in time linear in the absorbed ids' degrees, and
-    accumulate their recovery sets.  Only runs while the forbidden set is
-    empty."""
-    _check(not st.forbidden, "identifications only happen with nothing forbidden")
+    accumulate their recovery sets.  Only runs while no id is forbidden or
+    looped, so absorbed ids carry no loop.  Keeps the candidate sets
+    current: every id that gains an edge is queued for steps 7 and 8, and
+    its partner for step 8."""
+    _check(
+        not st.forbidden and not st.loops,
+        "identifications only happen with nothing forbidden or looped",
+    )
+    grown: set[int] = set()
     for dead, rep in mapping.items():
         for w in st.neg.pop(dead):
             if w in st.neg:
-                st.neg[w].discard(dead)
+                _discard_edge(st, w, dead)
             mw = mapping.get(w, w)
             if mw == rep:
                 st.neg[rep].add(rep)
+                st.loops.add(rep)
             elif mw != rep ^ 1:
                 st.neg[rep].add(mw)
                 st.neg[mw].add(rep)
+                grown.update((rep, mw))
         st.recovery[rep] |= st.recovery.pop(dead)
+    for x in grown:
+        heappush(st.queues[7], x)
+        heappush(st.queues[8], x)
+        heappush(st.queues[8], x ^ 1)
 
 
 def build_forcing_graph(st: MatchedState) -> ForcingGraph:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from sigdef import SignedGraph, build_graph
+from sigdef import SignedGraph, build_graph, generate_matched
 
 # 3-chromatic triangle: one positive edge uv, negative edges uw and vw.
 # Two proper colorations over {0, +-1}: (1, -1, 0) with deficiency 0 and
@@ -46,6 +48,28 @@ BLOCKED_LOOP_NEGATIVE = [
     ("v3", "u1"),
     ("u3", "u1"),
 ]
+
+
+def planted(pairs: int, seed: int) -> SignedGraph:
+    """Matched graph a_i--b_i of average negative degree 1.5, where each pair
+    picks a cover side and no negative edge joins two cover sides, so the
+    answer is 1.  Nearly every action is a step-9 commit; steps 4, 7, 8
+    and 12 fire now and then."""
+    rng = random.Random(seed)
+    n = 2 * pairs
+    cover_side = [rng.getrandbits(1) for _ in range(pairs)]
+    target = round(1.5 * n / 2)
+    names = [f"{'ab'[x & 1]}{(x >> 1) + 1}" for x in range(n)]
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < target:
+        u, v = sorted((rng.randrange(n), rng.randrange(n)))
+        if u >> 1 == v >> 1:
+            continue
+        if (u & 1) == cover_side[u >> 1] and (v & 1) == cover_side[v >> 1]:
+            continue
+        seen.add((u, v))
+    edges = [(names[u], names[v]) for u, v in sorted(seen)]
+    return generate_matched(pairs, 0.0, 0, negative_edges=edges)
 
 
 def neg(edges):

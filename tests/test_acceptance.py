@@ -9,9 +9,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +39,7 @@ from sigdef import (
     achieve_switching_deficiency,
 )
 
-from conftest import WORKED_COVER
+from conftest import WORKED_COVER, planted
 
 RANDOM_CORPUS_SEED = 20260808
 RANDOM_CORPUS_SIZE = 10_000
@@ -324,6 +326,45 @@ def test_criterion_6_scaling():
         + ", ".join(f"{p}p={t * 1000:.2f}ms" for p, t in zip(sizes, medians))
         + f"; log-log slope {slope:.2f} <= 5.0; largest case "
         f"{medians[-1]:.3f}s < 60s",
+    )
+
+
+def test_criterion_6_planted_scaling():
+    # Planted value-1 graphs run one ladder pass per pair, nearly all of
+    # them step-9 commits: the family on which a per-pass rescan of the
+    # live ids shows up as quadratic growth.  Sizes are timed in rounds, so
+    # a slow spell of the host hits every size alike, and with the cyclic
+    # collector paused, as ``timeit`` does, so that objects left alive by
+    # other tests do not bill their collection to the largest runs.
+    sizes = (1000, 2000, 4000, 8000, 16000)
+    budget = 0.5  # seconds for 4000 pairs
+    graphs = [planted(pairs, seed=3000 + pairs) for pairs in sizes]
+    best = [math.inf] * len(sizes)
+    for _ in range(3):
+        for i, g in enumerate(graphs):
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                result = maxdef(g, assume_chromatic_3=True)
+                elapsed = time.perf_counter() - started
+            finally:
+                gc.enable()
+            assert result.value == 1
+            best[i] = min(best[i], elapsed)
+            if sizes[i] <= 4000 and best[i] >= budget:
+                # a run no larger than 4000 pairs already overran the budget
+                report(6, False, f"planted {sizes[i]} pairs took {best[i]:.3f}s")
+    slope = statistics.linear_regression(
+        [math.log(p) for p in sizes], [math.log(t) for t in best]
+    ).slope
+    at_4000 = best[sizes.index(4000)]
+    report(
+        6,
+        slope <= 1.2 and at_4000 < budget,
+        "planted best-of-3 runtimes "
+        + ", ".join(f"{p}p={t:.3f}s" for p, t in zip(sizes, best))
+        + f"; log-log slope {slope:.2f} <= 1.2; 4000 pairs {at_4000:.3f}s < {budget}s",
     )
 
 

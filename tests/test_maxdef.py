@@ -32,7 +32,7 @@ from sigdef.maxdef import (
     step12_contract,
 )
 
-from conftest import WORKED_COVER
+from conftest import WORKED_COVER, WORKED_NEGATIVE, planted
 
 
 def flat(g) -> MatchedState:
@@ -41,10 +41,14 @@ def flat(g) -> MatchedState:
     return state
 
 
+def live_pairs(st: MatchedState) -> list[int]:
+    return [x >> 1 for x in st.neg if not x & 1]
+
+
 class TestFlatten:
     def test_worked_example_is_identity(self, worked_example):
         st = flat(worked_example)
-        assert st.live_pairs() == list(range(7))
+        assert live_pairs(st) == list(range(7))
         assert all(len(r) == 1 for r in st.recovery.values())
         assert st.trace == []  # nothing dropped, nothing collapsed
 
@@ -60,7 +64,7 @@ class TestFlatten:
             [("u", "v", "+"), ("v", "w", "+"), ("w", "x", "+"), ("u", "w", "-")]
         )
         st = flat(g)
-        assert st.live_pairs() == [0]
+        assert live_pairs(st) == [0]
         a, b = 0, 1
         assert st.recovery[a] == {g.id_of("u"), g.id_of("w")}
         assert st.recovery[b] == {g.id_of("v"), g.id_of("x")}
@@ -161,11 +165,17 @@ class TestSteps5And6:
         st.neg[1] = set(st.neg[1])
         assert step5_check(st) == 0
 
+    def test_step5_names_lowest_pair(self):
+        _, st = self.looped_state()
+        st.neg[3].add(3)
+        st.neg[1].add(1)
+        assert step5_check(st) == 0
+
     def test_step6_commits_partner(self):
         g, st = self.looped_state()
         assert step6_resolve(st)
         assert st.cover_ids == {g.id_of("v1")}
-        assert st.live_pairs() == [1]
+        assert live_pairs(st) == [1]
 
     def test_no_loops_no_action(self, worked_example):
         st = flat(worked_example)
@@ -179,7 +189,7 @@ class TestStep7:
         st = flat(g)
         assert step7_resolve(st)
         assert st.cover_ids == {g.id_of("b1")}
-        assert st.live_pairs() == [1]
+        assert live_pairs(st) == [1]
 
     def test_worked_example_declines(self, worked_example):
         st = flat(worked_example)
@@ -194,7 +204,7 @@ class TestStep7:
         )
         st = flat(g)
         assert step7_resolve(st)
-        assert st.live_pairs() == [1, 2]
+        assert live_pairs(st) == [1, 2]
         truth = 1 if stable_positive_cover(g) is not None else 0
         assert maxdef(g, assume_chromatic_3=True, validate=True).value == truth
 
@@ -217,7 +227,7 @@ class TestStep8:
     def test_worked_example_merges_pairs_6_and_7(self, worked_example):
         st = flat(worked_example)
         assert step8_merge(st)
-        assert st.live_pairs() == [0, 1, 2, 3, 4, 5]
+        assert live_pairs(st) == [0, 1, 2, 3, 4, 5]
         a6 = 10
         b6 = 11
         assert st.recovery[a6] == worked_example.ids_of({"a6", "a7"})
@@ -267,7 +277,7 @@ class TestStep9:
         step8_merge(st)
         assert step9_pendant(st)
         assert st.cover_ids == worked_example.ids_of({"a6", "a7"})
-        assert st.live_pairs() == [0, 1, 2, 3, 4]
+        assert live_pairs(st) == [0, 1, 2, 3, 4]
 
     def test_isolated_pair_takes_low_side(self):
         g = generate_matched(1, 0.0, 0)
@@ -328,7 +338,7 @@ class TestForcingGraph:
 def _forcing_edges_tolerant(st):
     """Forcing edges for states that may have degree-one vertices (test
     convenience only; the real builder asserts full preconditions)."""
-    return [(x, tuple(sorted(nb ^ 1 for nb in st.neg[x]))) for x in st.live_ids()]
+    return [(x, tuple(sorted(nb ^ 1 for nb in st.neg[x]))) for x in st.neg]
 
 
 class TestStep12:
@@ -338,7 +348,7 @@ class TestStep12:
         step9_pendant(st)
         fg = build_forcing_graph(st)
         assert step12_contract(st, fg)
-        assert st.live_pairs() == [0, 4]
+        assert live_pairs(st) == [0, 4]
         assert st.recovery[0] == worked_example.ids_of({"a1", "b2", "a3", "b4"})
         assert st.recovery[1] == worked_example.ids_of({"b1", "a2", "b3", "a4"})
         assert st.has_loop(0)
@@ -505,6 +515,44 @@ class TestLiveOrder:
         st.neg = dict(reversed(st.neg.items()))
         with pytest.raises(AssertionError, match="ascending order"):
             st.check_invariants()
+
+
+class TestCandidateSets:
+    def test_loop_missing_from_loop_set_rejected(self):
+        g = build_graph(
+            [("u", "v", "+"), ("v", "w", "+"), ("w", "x", "+"), ("u", "w", "-")]
+        )
+        st = flat(g)
+        assert st.loops == {0}
+        st.loops.discard(0)
+        with pytest.raises(AssertionError, match="loop set out of sync"):
+            st.check_invariants()
+
+    @pytest.mark.parametrize(
+        "pairs, negative, step, x",
+        [
+            (2, [("a1", "a2"), ("a1", "b2")], 7, 0),  # a1 sees both of pair 2
+            (7, WORKED_NEGATIVE, 8, 10),  # a6~b7 and b6~a7
+            (1, [], 9, 0),  # a1 is pendant
+        ],
+        ids=["step7", "step8", "step9"],
+    )
+    def test_candidate_missing_from_queue_rejected(self, pairs, negative, step, x):
+        st = flat(generate_matched(pairs, 0.0, 0, negative_edges=negative))
+        st.check_invariants()
+        st.queues[step].remove(x)
+        message = rf"step-{step} queue misses candidates \[{x}\]"
+        with pytest.raises(AssertionError, match=message):
+            st.check_invariants()
+
+    def test_thousand_pair_validated_run(self):
+        # about a thousand actions, each followed by the full invariant batch
+        g = planted(1000, seed=0)
+        validated = maxdef(g, assume_chromatic_3=True, validate=True)
+        assert validated.value == 1
+        assert validated.checks > 900
+        assert {4, 7, 8, 9, 12} <= set(validated.steps_fired)
+        assert validated.trace == maxdef(g, assume_chromatic_3=True).trace
 
 
 class TestChecksSurviveOptimize:
