@@ -22,12 +22,15 @@ Rule ladder, in priority order (numbering is part of the trace contract):
 
 ``maxdef`` is the single dispatcher: it tries steps 3..9 in order, ends
 the run on a blocked pair (3, 5), and after every action checks that the
-pair count shrank and, when validating, the invariants.  Flattening
-(steps 1-2) contracts each positive component's sides into one pair;
-identification (steps 8, 12) merges vertices in place.  Either way an edge
-landing on one vertex becomes a loop, one landing inside a pair is dropped,
-and parallels merge.  Every rule names its choice by id, never by set
-iteration order, so neighbor sets can be mutated freely.
+pair count shrank and, when validating, the invariants.  Each outcome is
+recorded in the trace by the routine that decides it; the dispatcher
+itself records only the odd-cycle verdict of step 2 and the certified
+cover of step 10.  Flattening (steps 1-2) contracts each positive
+component's sides into one pair; identification (steps 8, 12) merges
+vertices in place.  Both land their edges through one routine, ``_land``:
+an edge landing on one vertex becomes a loop, one landing inside a pair is
+dropped, and parallels merge.  Every rule names its choice by id, never by
+set iteration order, so neighbor sets can be mutated freely.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
@@ -255,40 +258,29 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
 
     contract: dict[int, int] = {}
     recovery: dict[int, set[int]] = {}
-    pair = 0
     for root in kept:
         if root in contract:
             continue
-        side = {root: 0}
-        comp = [root]
+        a_id = len(recovery)
+        contract[root] = a_id
+        recovery[a_id], recovery[a_id + 1] = {root}, set()
         queue = [root]
         while queue:
             u = queue.pop()
             for w in g.pos_adj[u]:
-                if w not in side:
-                    side[w] = side[u] ^ 1
-                    comp.append(w)
+                if w not in contract:
+                    contract[w] = contract[u] ^ 1
+                    recovery[contract[w]].add(w)
                     queue.append(w)
-                elif side[w] == side[u]:
-                    return NotBipartite(component=g.labels_of(comp))
-        a_id, b_id = 2 * pair, 2 * pair + 1
-        for v in comp:
-            contract[v] = a_id if side[v] == 0 else b_id
-        recovery[a_id] = {v for v in comp if side[v] == 0}
-        recovery[b_id] = {v for v in comp if side[v] == 1}
-        pair += 1
+                elif contract[w] == contract[u]:
+                    found = recovery[a_id] | recovery[a_id + 1]
+                    return NotBipartite(component=g.labels_of(found))
 
     neg: dict[int, set[int]] = {x: set() for x in recovery}
     for u in kept:
-        cu = contract[u]
         for w in g.neg_adj[u]:
             if w > u and w in contract:
-                cw = contract[w]
-                if cu == cw:
-                    neg[cu].add(cu)
-                elif cu != cw ^ 1:
-                    neg[cu].add(cw)
-                    neg[cw].add(cu)
+                _land(neg, contract[u], contract[w])
     state = MatchedState(
         source=g,
         neg=neg,
@@ -304,17 +296,28 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
                 f"positive incidence: {', '.join(g.labels_of(dropped_step1))}",
             )
         )
-    if len(kept) > 2 * pair:  # some component had more than two vertices
+    if len(kept) > len(recovery):  # some component had more than two vertices
         state.trace.append(
             TraceEntry(
                 step=2,
-                detail=f"collapsed {len(kept)} vertices into {pair} matched "
-                f"pairs ({len(state.loops)} with loops)",
+                detail=f"collapsed {len(kept)} vertices into "
+                f"{state.pair_count()} matched pairs ({len(state.loops)} with loops)",
             )
         )
     if validate:
         state.check_invariants()
     return state
+
+
+def _land(neg: dict[int, set[int]], a: int, b: int) -> None:
+    """Land a negative edge on ids a and b: on one vertex it becomes a loop,
+    inside a pair it is dropped, and a parallel merges into the existing
+    edge."""
+    if a == b:
+        neg[a].add(a)
+    elif a != b ^ 1:
+        neg[a].add(b)
+        neg[b].add(a)
 
 
 def _delete_pair(st: MatchedState, p: int) -> None:
@@ -360,13 +363,19 @@ def _commit(st: MatchedState, keep: int, step: int, detail: str) -> None:
 def step3_check(st: MatchedState) -> int | None:
     """Lowest pair whose two sides are both unusable for the cover, where a
     side is unusable when forbidden or looped and at least one side is
-    forbidden.  Such a pair ends the run with value 0.  (Pairs blocked by
-    loops alone belong to the loop checks, steps 5 and 6.)"""
+    forbidden.  Such a pair ends the run with value 0; its trace entry is
+    recorded here.  (Pairs blocked by loops alone belong to the loop
+    checks, steps 5 and 6.)"""
     for p in sorted({x >> 1 for x in st.forbidden}):
         x, y = 2 * p, 2 * p + 1
         if (x in st.forbidden or st.has_loop(x)) and (
             y in st.forbidden or st.has_loop(y)
         ):
+            detail = (
+                f"both sides of pair {p + 1} are unusable (forbidden or "
+                "looped): no stable cover exists"
+            )
+            st.trace.append(TraceEntry(step=3, detail=detail))
             return p
     return None
 
@@ -387,9 +396,15 @@ def step4_resolve(st: MatchedState) -> bool:
 
 
 def step5_check(st: MatchedState) -> int | None:
-    """Lowest pair with loops on both sides; ends the run with value 0."""
+    """Lowest pair with loops on both sides; ends the run with value 0, and
+    its trace entry is recorded here."""
     both = [x for x in st.loops if st.has_loop(x ^ 1)]
-    return min(both) >> 1 if both else None
+    if not both:
+        return None
+    p = min(both) >> 1
+    detail = f"both sides of pair {p + 1} carry loops: no stable cover exists"
+    st.trace.append(TraceEntry(step=5, detail=detail))
+    return p
 
 
 def step6_resolve(st: MatchedState) -> bool:
@@ -475,19 +490,12 @@ def step8_merge(st: MatchedState) -> bool:
         return False
     x, forced = hit
     y = min(forced)
-    _identify(st, {y ^ 1: x, y: x ^ 1})
-    st.trace.append(
-        TraceEntry(
-            step=8,
-            detail=f"edges {side_name(x)}~{side_name(y)} and "
-            f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the "
-            "pairs together",
-            pairs_removed=1,
-            merges=(
-                (side_name(x), side_name(y ^ 1)),
-                (side_name(x ^ 1), side_name(y)),
-            ),
-        )
+    _identify(
+        st,
+        {y ^ 1: x, y: x ^ 1},
+        step=8,
+        detail=f"edges {side_name(x)}~{side_name(y)} and "
+        f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the pairs together",
     )
     return True
 
@@ -509,42 +517,54 @@ def step9_pendant(st: MatchedState) -> bool:
     return True
 
 
-def _identify(st: MatchedState, mapping: dict[int, int]) -> None:
+def _identify(
+    st: MatchedState, mapping: dict[int, int], step: int, detail: str
+) -> None:
     """Merge each absorbed id into its survivor (``mapping``: absorbed id ->
-    surviving id) in place, in time linear in the absorbed ids' degrees, and
-    accumulate their recovery sets.  Only runs while no id is forbidden or
-    looped, so absorbed ids carry no loop.  Keeps the candidate sets
-    current: every id that gains an edge is queued for steps 7 and 8, and
-    its partner for step 8."""
+    surviving id) in place, in time linear in the absorbed ids' degrees,
+    and record the step's entry: one merge group per survivor, the
+    survivor first, then its absorbed ids in mapping order.  Only runs
+    while no id is forbidden or looped, so absorbed ids carry no loop.
+    Keeps the candidate sets current: a survivor that gains a loop joins
+    ``loops``; both ends of every moved edge are queued for steps 7 and 8,
+    and their partners for step 8 (a spare entry costs the lazy heap a
+    pop)."""
     _check(
         not st.forbidden and not st.loops,
         "identifications only happen with nothing forbidden or looped",
     )
     grown: set[int] = set()
+    groups: dict[int, list[int]] = {}
     for dead, rep in mapping.items():
         for w in st.neg.pop(dead):
             if w in st.neg:
                 _discard_edge(st, w, dead)
             mw = mapping.get(w, w)
-            if mw == rep:
-                st.neg[rep].add(rep)
-                st.loops.add(rep)
-            elif mw != rep ^ 1:
-                st.neg[rep].add(mw)
-                st.neg[mw].add(rep)
-                grown.update((rep, mw))
+            _land(st.neg, rep, mw)
+            grown.update((rep, mw))
         st.recovery[rep] |= st.recovery.pop(dead)
+        groups.setdefault(rep, [rep]).append(dead)
+    st.loops.update(x for x in groups if st.has_loop(x))
     for x in grown:
         heappush(st.queues[7], x)
         heappush(st.queues[8], x)
         heappush(st.queues[8], x ^ 1)
+    st.trace.append(
+        TraceEntry(
+            step=step,
+            detail=detail,
+            pairs_removed=len(mapping) // 2,
+            merges=tuple(tuple(map(side_name, group)) for group in groups.values()),
+        )
+    )
 
 
 def build_forcing_graph(st: MatchedState) -> ForcingGraph:
     """Forcing digraph of the current graph: x -> partner(w) for every
-    negative edge x~w.  Only valid once steps 3..9 have all declined, which
-    guarantees a simple, loop-free graph of minimum degree 2 with at most
-    one negative edge between any two pairs."""
+    negative edge x~w, recorded as the step-11 trace entry.  Only valid
+    once steps 3..9 have all declined, which guarantees a simple, loop-free
+    graph of minimum degree 2 with at most one negative edge between any
+    two pairs."""
     _check(bool(st.neg), "forcing graph of an empty graph")
     out: dict[int, tuple[int, ...]] = {}
     for x, nbrs in st.neg.items():
@@ -558,6 +578,9 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
             _check(x ^ 1 in out[y ^ 1], "forcing edges must mirror")
     if st.validate:
         st.checks += 1
+    edges = sum(len(succs) for succs in out.values())
+    detail = f"built the forcing graph on {len(out)} vertices with {edges} edges"
+    st.trace.append(TraceEntry(step=11, detail=detail))
     return ForcingGraph(out_adj=out)
 
 
@@ -595,19 +618,13 @@ def step12_contract(st: MatchedState, fg: ForcingGraph) -> bool:
     absorbed = [x for x in cycle if x != rep]
     mapping = {x: rep for x in absorbed}
     mapping.update({x ^ 1: rep ^ 1 for x in absorbed})
-    _identify(st, mapping)
-    st.trace.append(
-        TraceEntry(
-            step=12,
-            detail="contracted the forced cycle through "
-            + ", ".join(side_name(x) for x in cycle)
-            + " and its mirror",
-            pairs_removed=len(cycle) - 1,
-            merges=(
-                tuple(side_name(x) for x in [rep, *absorbed]),
-                tuple(side_name(x ^ 1) for x in [rep, *absorbed]),
-            ),
-        )
+    _identify(
+        st,
+        mapping,
+        step=12,
+        detail="contracted the forced cycle through "
+        + ", ".join(side_name(x) for x in cycle)
+        + " and its mirror",
     )
     return True
 
@@ -628,14 +645,6 @@ def _result(
         checks=checks,
         chi_verified=chi_verified,
     )
-
-
-# Steps 3 and 5 return the blocked pair, which ends the run with value 0.
-_BLOCKED_DETAILS = {
-    3: "both sides of pair {} are unusable (forbidden or looped): "
-    "no stable cover exists",
-    5: "both sides of pair {} carry loops: no stable cover exists",
-}
 
 
 def maxdef(
@@ -692,34 +701,21 @@ def maxdef(
             found = rule(st)
             if found is None or found is False:
                 continue
-            if step in _BLOCKED_DETAILS:
-                detail = _BLOCKED_DETAILS[step].format(found + 1)
-                st.trace.append(TraceEntry(step=step, detail=detail))
+            if step in (3, 5):  # a blocked pair ends the run with value 0
                 return _result(chi_verified, step, st.trace, st.checks)
             break
         else:
             if not st.neg:
+                _check(
+                    is_stable(st.source, st.cover_ids)
+                    and covers_positive(st.source, st.cover_ids),
+                    "internal defect: produced cover fails self-certification",
+                )
                 cover = st.source.labels_of(st.cover_ids)
-                cover_ids = st.source.ids_of(cover)
-                if not (
-                    is_stable(st.source, cover_ids)
-                    and covers_positive(st.source, cover_ids)
-                ):
-                    raise AssertionError(
-                        "internal defect: produced cover fails self-certification"
-                    )
                 detail = "graph is empty; recovered cover " + ", ".join(cover)
                 st.trace.append(TraceEntry(step=10, detail=detail))
                 return _result(chi_verified, 10, st.trace, st.checks, cover)
-            fg = build_forcing_graph(st)
-            st.trace.append(
-                TraceEntry(
-                    step=11,
-                    detail=f"built the forcing graph on {len(fg.out_adj)} vertices "
-                    f"with {sum(len(s) for s in fg.out_adj.values())} edges",
-                )
-            )
-            if not step12_contract(st, fg):
+            if not step12_contract(st, build_forcing_graph(st)):
                 return _result(chi_verified, 12, st.trace, st.checks)
         _check(st.pair_count() < before, "action left the pair count flat")
         if st.validate:

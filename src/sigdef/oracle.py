@@ -139,19 +139,15 @@ def max_possible_deficiency(chi: int) -> int:
     return chi // 2
 
 
-def deficiency_report(
-    g: SignedGraph,
-    *,
-    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    early_stop: bool = True,
-) -> DeficiencyReport:
+def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyReport:
     """Enumerate all proper colorations over the minimal color set and
-    collect the achieved deficiencies with one witness per value.
+    collect the achieved deficiencies with one witness per value.  Graphs
+    above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
 
     ``early_stop`` ends the walk once every achievable value has appeared;
     witnesses are first-encountered either way, so reports are identical.
     """
-    chi = chromatic_number(g, bound=bound)
+    chi = chromatic_number(g)
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
     found: dict[int, tuple[int, ...]] = {}
@@ -263,17 +259,16 @@ def stable_positive_cover(
 
 
 def max_deficiency_3chromatic(
-    g: SignedGraph,
-    *,
-    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    pair_bound: int = DEFAULT_PAIR_BOUND,
+    g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND
 ) -> int:
     """Ground truth for the maximum deficiency of a 3-chromatic graph:
-    1 exactly when a stable cover of the positive edges exists."""
+    1 exactly when a stable cover of the positive edges exists.  ``bound``
+    caps the vertex count of both searches; the cover search over matched
+    pairs is capped at ``DEFAULT_PAIR_BOUND``."""
     chi = chromatic_number(g, bound=bound)
     if chi != 3:
         raise NotThreeChromaticError(chi)
-    cover = stable_positive_cover(g, vertex_bound=bound, pair_bound=pair_bound)
+    cover = stable_positive_cover(g, vertex_bound=bound)
     return 1 if cover is not None else 0
 
 

@@ -6,7 +6,8 @@ An .sg file is line-oriented UTF-8:
     v <label>              declare a vertex (optional; for isolated vertices)
     e <label> <label> <+|->   a signed edge
 
-Labels are whitespace-free tokens and gain ids in order of first appearance.
+Labels are tokens free of whitespace and ``#`` and gain ids in order of
+first appearance.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def serialize_sg(g: SignedGraph) -> str:
     lines = [f"# signed graph: {g.n} vertices, "
              f"{g.positive_edge_count} positive / {g.negative_edge_count} negative edges"]
     for lab in g.labels:
-        if not lab or any(ch.isspace() for ch in lab):
+        if not lab or "#" in lab or any(ch.isspace() for ch in lab):
             raise ValueError(f"label {lab!r} cannot be written to .sg text")
         lines.append(f"v {lab}")
     for u, v in g.positive_edges():

@@ -239,3 +239,17 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bytes.sg"
+        path.write_bytes(b"e a b +\n\xff\xfe\n")
+        code, out, err = run(capsys, ["maxdef", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gen_general_requires_vertices(self, capsys):
+        code, out, err = run(capsys, ["gen", "--general", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --general requires --vertices\n"

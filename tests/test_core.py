@@ -215,3 +215,22 @@ class TestColorationFromCover:
     def test_uncovered_positive_edge_rejected(self, triangle):
         with pytest.raises(ValueError, match="uncovered"):
             coloration_from_cover(triangle, frozenset())
+
+
+class TestRefusals:
+    def test_unknown_edge_sign(self):
+        with pytest.raises(ValueError, match="edge sign"):
+            build_graph([("u", "v", "x")])
+
+    def test_negative_color_scale(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Coloration((), -1)
+
+    def test_from_labels_missing_vertex(self, triangle):
+        with pytest.raises(ValueError, match="missing"):
+            Coloration.from_labels(triangle, {"u": 1, "v": 0}, k=1, uses_zero=True)
+
+    def test_switch_coloration_unknown_id(self, triangle):
+        kap = kappa(triangle, {"u": 1, "v": -1, "w": 0})
+        with pytest.raises(ValueError, match="99"):
+            switch_coloration(kap, {99})

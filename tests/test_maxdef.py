@@ -12,6 +12,7 @@ from sigdef import (
     build_graph,
     chromatic_number,
     covers_positive,
+    generate_general,
     generate_matched,
     is_stable,
     max_deficiency_3chromatic,
@@ -611,3 +612,53 @@ class TestGadgetFamily:
     def test_hundred_copies(self):
         result = maxdef(gadget_copies(100), assume_chromatic_3=True, validate=True)
         assert result.value == 1
+
+
+class TestOneEntryPerOutcome:
+    """Every routine that decides an outcome records its own trace entry:
+    one per fire of steps 3-9, one per forcing build (step 11), and one per
+    step-12 call, whether it contracts or refutes."""
+
+    def test_each_deciding_call_appends_its_own_entry(self, monkeypatch):
+        import random
+        import sys
+
+        module = sys.modules["sigdef.maxdef"]
+        seen: set[int] = set()
+
+        def recording(step, rule):
+            def wrapped(st, *args):
+                before = len(st.trace)
+                found = rule(st, *args)
+                fired = found is not None and found is not False
+                added = [entry.step for entry in st.trace[before:]]
+                assert added == ([step] if fired or step in (11, 12) else [])
+                if added:
+                    seen.add(step)
+                return found
+
+            return wrapped
+
+        names = {3: "step3_check", 4: "step4_resolve", 5: "step5_check",
+                 6: "step6_resolve", 7: "step7_resolve", 8: "step8_merge",
+                 9: "step9_pendant", 11: "build_forcing_graph",
+                 12: "step12_contract"}
+        for step, name in names.items():
+            monkeypatch.setattr(module, name, recording(step, getattr(module, name)))
+        rng = random.Random(8)
+        graphs = [planted(60, seed) for seed in range(4)] + [gadget_copies(3)]
+        graphs += [
+            generate_matched(rng.randint(2, 20), rng.uniform(0.0, 0.3), seed)
+            for seed in range(300)
+        ]
+        graphs += [
+            generate_general(rng.randint(4, 12), rng.uniform(0.2, 0.6),
+                             rng.uniform(0.2, 0.8), seed)
+            for seed in range(300)
+        ]
+        for g in graphs:
+            if not g.positive_edge_count:
+                continue
+            result = maxdef(g, assume_chromatic_3=True)
+            assert result.trace[-1].step == result.terminating_step
+        assert seen == set(names)

@@ -237,6 +237,23 @@ class TestAchieveSwitchingDeficiency:
         with pytest.raises(ValueError, match="not minimal"):
             achieve_switching_deficiency(triangle, fat, 0)
 
+    def test_improper_coloration_rejected(self, triangle):
+        bad = Coloration((1, 1, 0), k=1, uses_zero=True)
+        with pytest.raises(ValueError, match="not proper"):
+            achieve_switching_deficiency(triangle, bad, 0)
+
+    @pytest.mark.parametrize(
+        "r, switched, colors", [(0, {"w"}, (-1, 0, 1)), (1, {"u", "w"}, (1, 0, 1))]
+    )
+    def test_unused_positive_color_made_negative(self, triangle, r, switched, colors):
+        # (-1, 0, -1) leaves +1 unused; the construction first switches the
+        # -1 class so that the unused color is negative, then proceeds
+        kap = Coloration((-1, 0, -1), 1, True)
+        A, out = achieve_switching_deficiency(triangle, kap, r)
+        assert A == triangle.ids_of(switched)
+        assert out.colors == colors
+        assert is_proper(switch(triangle, A), out)
+
     def test_construction_check_survives_python_O(self):
         # With switching broken, the construction's own properness check
         # must still fire when ``python -O`` strips assert statements.
@@ -294,3 +311,18 @@ class TestRecolorLoneNegative:
         )
         with pytest.raises(ValueError, match="exactly one"):
             recolor_lone_negative(triangle, kap, -1)
+
+    def test_requires_zero_in_color_set(self, triangle):
+        kap = Coloration((1, -1, 1), k=1, uses_zero=False)
+        with pytest.raises(ValueError, match="includes 0"):
+            recolor_lone_negative(triangle, kap, 1)
+
+    def test_requires_proper_coloration(self, triangle):
+        kap = Coloration((1, 1, 0), k=1, uses_zero=True)
+        with pytest.raises(ValueError, match="not proper"):
+            recolor_lone_negative(triangle, kap, -1)
+
+    def test_requires_unused_color(self, triangle):
+        kap = Coloration((1, -1, 0), k=1, uses_zero=True)
+        with pytest.raises(ValueError, match="not unused"):
+            recolor_lone_negative(triangle, kap, 1)

@@ -24,3 +24,20 @@ def test_all_lists_the_public_names_once():
     assert set(sigdef.__all__) == PUBLIC_NAMES
     assert len(sigdef.__all__) == len(PUBLIC_NAMES)
 
+
+
+def test_sources_hold_no_assert_statements():
+    # Load-bearing checks must survive ``python -O``, which strips asserts;
+    # the package raises through ``core._check`` instead.
+    import ast
+    from pathlib import Path
+
+    offenders = []
+    for path in sorted(Path(sigdef.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []

@@ -75,6 +75,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             serialize_sg(g)
 
+    def test_hash_label_rejected(self):
+        # parse_sg reads '#' as the start of a comment, so such a label
+        # cannot come back: 'v#1' would return as 'v', and 'e a#b c +'
+        # would lose its last two fields
+        isolated = build_graph([("x", "c", "+")], vertices=["v#1"])
+        endpoint = build_graph([("a#b", "c", "+")])
+        for g in (isolated, endpoint):
+            with pytest.raises(ValueError, match="cannot be written"):
+                serialize_sg(g)
+
 
 class TestGenerateMatched:
     def test_shape(self):
@@ -164,3 +174,19 @@ class TestExportDot:
         g = build_graph([('he"llo', "world", "+")])
         dot = export_dot(g)
         assert '"he\\"llo"' in dot
+
+
+class TestRefusals:
+    def test_vertex_line_with_extra_field(self):
+        with pytest.raises(SgParseError, match="line 1"):
+            parse_sg("v a b")
+
+    def test_general_generator_arguments(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_general(-1, 0.5, 0.5, 1)
+        with pytest.raises(ValueError, match="edge_prob"):
+            generate_general(3, 1.5, 0.5, 1)
+
+    def test_dot_highlight_of_unknown_id(self, triangle):
+        with pytest.raises(ValueError, match="99"):
+            export_dot(triangle, {99})
