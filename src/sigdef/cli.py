@@ -2,8 +2,12 @@
 
 Analytic subcommands print a JSON run report on stdout:
 
-    {"schema": "sigdef/1", "command": ..., "result": ..., "elapsed_ms": ...,
-     "seed": ...}
+    {"schema": "sigdef/1", "command": ..., "argv": [...], "result": ...,
+     "elapsed_ms": ..., "parse_ms": ..., "seed": ...}
+
+``elapsed_ms`` times the command itself and ``parse_ms`` the reading and
+parsing of its input file; ``parse_ms`` is null for a command that reads
+no file.
 
 ``gen`` and ``switch`` emit .sg text, ``dot`` emits DOT text, both for
 piping.  Diagnostics go to stderr.  Exit codes: 0 success, 1 mismatch or
@@ -56,10 +60,15 @@ def _coloration_json(g: SignedGraph, kappa: Coloration) -> dict:
 
 def _run_report(args) -> int:
     """Shared path of the JSON-reporting subcommands: parse the input file,
-    if the command takes one, then time ``args.report(args, g)`` and print
-    the payload it returns; ``elapsed_ms`` leaves parsing out.  The builder
-    returns ``(payload, exit code)``, with payload None to print nothing."""
-    g = _load(args.file) if "file" in args else None
+    if the command takes one, then run ``args.report(args, g)`` and print
+    the payload it returns.  Parsing and the command are timed apart, as
+    ``parse_ms`` and ``elapsed_ms``.  ``args.report`` returns ``(payload,
+    exit code)``, with payload None to print nothing."""
+    g = parse_ms = None
+    if "file" in args:
+        started = time.perf_counter()
+        g = _load(args.file)
+        parse_ms = _ms_since(started)
     started = time.perf_counter()
     result, code = args.report(args, g)
     if result is not None:
@@ -68,11 +77,16 @@ def _run_report(args) -> int:
             "command": args.command,
             "argv": list(getattr(args, "_argv", [])),
             "result": result,
-            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "elapsed_ms": _ms_since(started),
+            "parse_ms": parse_ms,
             "seed": getattr(args, "seed", None),
         }
         print(json.dumps(report))
     return code
+
+
+def _ms_since(started: float) -> float:
+    return round((time.perf_counter() - started) * 1000.0, 3)
 
 
 def _split_labels(raw: str) -> list[str]:

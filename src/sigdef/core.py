@@ -124,6 +124,23 @@ class SignedGraph:
         return False
 
 
+def _from_sets(
+    labels: Iterable[str],
+    pos: list[set[int]],
+    neg: list[set[int]],
+    index: Mapping[str, int],
+) -> SignedGraph:
+    """The graph whose vertex v has neighbour sets ``pos[v]`` / ``neg[v]``;
+    ``index`` must map ``labels`` to their positions and becomes the
+    graph's label index, so it is not rebuilt."""
+    return SignedGraph(
+        labels=tuple(labels),
+        pos_adj=tuple([tuple(sorted(s)) for s in pos]),
+        neg_adj=tuple([tuple(sorted(s)) for s in neg]),
+        _index=index,
+    )
+
+
 def build_graph(
     named_edges: Iterable[tuple[str, str, int | str]],
     vertices: Iterable[str] = (),
@@ -136,36 +153,27 @@ def build_graph(
     rejected.
     """
     index: dict[str, int] = {}
-    order: list[str] = []
-
-    def vid(label: str) -> int:
-        if label not in index:
-            index[label] = len(order)
-            order.append(label)
-        return index[label]
-
     for lab in vertices:
-        vid(lab)
-
-    pos: list[set[int]] = [set() for _ in order]
-    neg: list[set[int]] = [set() for _ in order]
+        index.setdefault(lab, len(index))
+    pos: list[set[int]] = [set() for _ in index]
+    neg: list[set[int]] = [set() for _ in index]
     for a, b, raw_sign in named_edges:
-        sign = _as_sign(raw_sign)
+        target = pos if _as_sign(raw_sign) > 0 else neg
         if a == b:
             raise ValueError(f"loop edge not allowed: ({a!r}, {a!r})")
-        u, v = vid(a), vid(b)
-        while len(pos) < len(order):
+        u = index.get(a)
+        if u is None:
+            u = index[a] = len(pos)
             pos.append(set())
             neg.append(set())
-        target = pos if sign > 0 else neg
+        v = index.get(b)
+        if v is None:
+            v = index[b] = len(pos)
+            pos.append(set())
+            neg.append(set())
         target[u].add(v)
         target[v].add(u)
-
-    return SignedGraph(
-        labels=tuple(order),
-        pos_adj=tuple(tuple(sorted(s)) for s in pos),
-        neg_adj=tuple(tuple(sorted(s)) for s in neg),
-    )
+    return _from_sets(index, pos, neg, index)
 
 
 @dataclass(frozen=True)
@@ -246,9 +254,10 @@ def is_proper(g: SignedGraph, kappa: Coloration) -> bool:
 
 def _check_vertex_ids(g: SignedGraph, ids: Iterable[int]) -> frozenset[int]:
     out = frozenset(ids)
+    n = g.n
     for v in out:
-        if not 0 <= v < g.n:
-            raise ValueError(f"unknown vertex id {v} (graph has {g.n} vertices)")
+        if not 0 <= v < n:
+            raise ValueError(f"unknown vertex id {v} (graph has {n} vertices)")
     return out
 
 
@@ -267,11 +276,7 @@ def switch(g: SignedGraph, A: Iterable[int]) -> SignedGraph:
         target = pos if sign > 0 else neg
         target[u].add(v)
         target[v].add(u)
-    return SignedGraph(
-        labels=g.labels,
-        pos_adj=tuple(tuple(sorted(s)) for s in pos),
-        neg_adj=tuple(tuple(sorted(s)) for s in neg),
-    )
+    return _from_sets(g.labels, pos, neg, g._index)
 
 
 def switch_coloration(kappa: Coloration, A: Iterable[int]) -> Coloration:
@@ -342,18 +347,21 @@ def classify_two_chromatic(g: SignedGraph) -> TwoChromaticCase:
 def is_stable(g: SignedGraph, A: Iterable[int]) -> bool:
     """True iff the subgraph induced by ``A`` contains no edge of either sign."""
     inside = _check_vertex_ids(g, A)
-    for v in inside:
-        if any(u in inside for u in g.pos_adj[v]):
-            return False
-        if any(u in inside for u in g.neg_adj[v]):
-            return False
-    return True
+    pos_adj, neg_adj = g.pos_adj, g.neg_adj
+    return all(
+        inside.isdisjoint(pos_adj[v]) and inside.isdisjoint(neg_adj[v])
+        for v in inside
+    )
 
 
 def covers_positive(g: SignedGraph, A: Iterable[int]) -> bool:
     """True iff every positive edge of g has at least one endpoint in ``A``."""
     inside = _check_vertex_ids(g, A)
-    return all(u in inside or v in inside for u, v in g.positive_edges())
+    pos_adj = g.pos_adj
+    # an edge is uncovered only if both its ends lie outside A
+    return all(
+        inside.issuperset(pos_adj[v]) for v in range(g.n) if v not in inside
+    )
 
 
 def coloration_from_cover(g: SignedGraph, cover: Iterable[int]) -> Coloration:

@@ -6,8 +6,10 @@ An .sg file is line-oriented UTF-8:
     v <label>              declare a vertex (optional; for isolated vertices)
     e <label> <label> <+|->   a signed edge
 
-Labels are tokens free of whitespace and ``#`` and gain ids in order of
-first appearance.
+Labels are tokens free of whitespace and ``#``.  Declared (``v``) labels
+are numbered first, in the order of their ``v`` lines, even when a ``v``
+line follows edge lines; the other labels follow in order of first
+appearance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import warnings
 from typing import Iterable, Sequence
 
-from .core import SignedGraph, build_graph
+from .core import SignedGraph, _from_sets, build_graph
 
 __all__ = [
     "SgParseError",
@@ -42,35 +44,89 @@ def parse_sg(text: str) -> SignedGraph:
     Duplicate same-sign edges are collapsed with a single warning carrying
     the count; loops and malformed lines are rejected with line numbers.
     """
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
+    index: dict[str, int] = {}
+    pos: list[set[int]] = []
+    neg: list[set[int]] = []
+    by_sign = {"+": pos, "-": neg}
+    head = -1  # labels numbered before the first edge line, once it is read
+    late: list[str] = []  # labels declared by a v line after an edge line
+    duplicates = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 2:
-                raise SgParseError(line_no, f"expected 'v <label>', got {raw!r}")
-            vertices.append(parts[1])
-        elif parts[0] == "e":
-            if len(parts) != 4 or parts[3] not in ("+", "-"):
-                raise SgParseError(
-                    line_no, f"expected 'e <label> <label> <+|->', got {raw!r}"
-                )
+        if len(parts) == 4 and parts[0] == "e":
             _, a, b, sign = parts
-            if a == b:
-                raise SgParseError(line_no, f"loop edge on {a!r} not allowed")
-            edges.append((a, b, sign))
+            target = by_sign.get(sign)
+            if target is None or a == b:
+                raise _line_error(line_no, raw, parts)
+            if head < 0:
+                head = len(pos)
+            u = index.get(a)
+            if u is None:
+                u = index[a] = len(pos)
+                pos.append(set())
+                neg.append(set())
+            v = index.get(b)
+            if v is None:
+                v = index[b] = len(pos)
+                pos.append(set())
+                neg.append(set())
+            near = target[u]
+            if v in near:
+                duplicates += 1
+            else:
+                near.add(v)
+                target[v].add(u)
+        elif len(parts) == 2 and parts[0] == "v":
+            label = parts[1]
+            if head >= 0:
+                late.append(label)
+            if label not in index:
+                index[label] = len(pos)
+                pos.append(set())
+                neg.append(set())
         else:
-            raise SgParseError(line_no, f"unknown directive {parts[0]!r}")
-    g = build_graph(edges, vertices=vertices)
-    duplicates = len(edges) - (g.positive_edge_count + g.negative_edge_count)
+            raise _line_error(line_no, raw, parts)
+    if late:
+        index, pos, neg = _declared_first(index, pos, neg, head, late)
     if duplicates:
         warnings.warn(
             f"collapsed {duplicates} duplicate same-sign edge(s)", stacklevel=2
         )
-    return g
+    return _from_sets(index, pos, neg, index)
+
+
+def _line_error(line_no: int, raw: str, parts: list[str]) -> SgParseError:
+    """What is wrong with a non-blank line that is no valid v or e line."""
+    if parts[0] == "v":
+        return SgParseError(line_no, f"expected 'v <label>', got {raw!r}")
+    if parts[0] != "e":
+        return SgParseError(line_no, f"unknown directive {parts[0]!r}")
+    if len(parts) != 4 or parts[3] not in ("+", "-"):
+        return SgParseError(
+            line_no, f"expected 'e <label> <label> <+|->', got {raw!r}"
+        )
+    return SgParseError(line_no, f"loop edge on {parts[1]!r} not allowed")
+
+
+def _declared_first(
+    index: dict[str, int],
+    pos: list[set[int]],
+    neg: list[set[int]],
+    head: int,
+    late: list[str],
+) -> tuple[dict[str, int], list[set[int]], list[set[int]]]:
+    """Renumber so that declared labels come first: the ``head`` labels
+    numbered before the first edge line, then the ``late`` declarations,
+    then every other label in order of first appearance."""
+    labels = list(index)
+    ranked = dict.fromkeys([*labels[:head], *late, *labels])
+    new = {lab: i for i, lab in enumerate(ranked)}
+    perm = [new[lab] for lab in labels]
+    new_pos = [{perm[x] for x in pos[index[lab]]} for lab in new]
+    new_neg = [{perm[x] for x in neg[index[lab]]} for lab in new]
+    return new, new_pos, new_neg
 
 
 def serialize_sg(g: SignedGraph) -> str:

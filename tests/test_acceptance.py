@@ -9,8 +9,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import itertools
+import json
 import math
 import random
 import statistics
@@ -33,11 +36,13 @@ from sigdef import (
     is_stable,
     max_deficiency_3chromatic,
     maxdef,
+    serialize_sg,
     stable_positive_cover,
     switch,
     switching_report,
     achieve_switching_deficiency,
 )
+from sigdef.cli import main
 
 from conftest import WORKED_COVER, planted
 
@@ -365,6 +370,45 @@ def test_criterion_6_planted_scaling():
         "planted best-of-3 runtimes "
         + ", ".join(f"{p}p={t:.3f}s" for p, t in zip(sizes, best))
         + f"; log-log slope {slope:.2f} <= 1.2; 4000 pairs {at_4000:.3f}s < {budget}s",
+    )
+
+
+def test_criterion_6_end_to_end_scaling(tmp_path):
+    # The gate above times maxdef() alone.  This one times the whole
+    # command, from .sg text on disk to the JSON report on stdout, so that
+    # a parser or report writer growing faster than its input shows too.
+    # Rounds and the paused collector as in the planted gate.
+    sizes = (1000, 2000, 4000, 8000, 16000)
+    paths = []
+    for pairs in sizes:
+        path = tmp_path / f"planted{pairs}.sg"
+        path.write_text(serialize_sg(planted(pairs, seed=3000 + pairs)), encoding="utf-8")
+        paths.append(str(path))
+    best = [math.inf] * len(sizes)
+    for _ in range(3):
+        for i, path in enumerate(paths):
+            out = io.StringIO()
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.redirect_stdout(out):
+                    started = time.perf_counter()
+                    code = main(["maxdef", path, "--assume-chromatic-3"])
+                    elapsed = time.perf_counter() - started
+            finally:
+                gc.enable()
+            assert code == 0
+            assert json.loads(out.getvalue())["result"]["value"] == 1
+            best[i] = min(best[i], elapsed)
+    slope = statistics.linear_regression(
+        [math.log(p) for p in sizes], [math.log(t) for t in best]
+    ).slope
+    report(
+        6,
+        slope <= 1.2,
+        "end-to-end `maxdef FILE` best-of-3 runtimes "
+        + ", ".join(f"{p}p={t:.3f}s" for p, t in zip(sizes, best))
+        + f"; log-log slope {slope:.2f} <= 1.2",
     )
 
 

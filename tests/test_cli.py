@@ -79,6 +79,14 @@ class TestMaxdefCommand:
         # 14 vertices exceed the exhaustive bound, so a note lands on stderr
         assert "not verified" in err
 
+    def test_report_times_parsing_apart(self, capsys, worked_file):
+        code, report, _ = run_json(
+            capsys, ["maxdef", worked_file, "--assume-chromatic-3"]
+        )
+        assert code == 0
+        for key in ("elapsed_ms", "parse_ms"):
+            assert isinstance(report[key], float) and report[key] >= 0.0
+
     def test_trace_flag(self, capsys, worked_file):
         code, report, _ = run_json(capsys, ["maxdef", worked_file, "--trace"])
         assert code == 0
@@ -215,6 +223,9 @@ class TestCrosscheck:
         assert report["result"]["mismatches"] == 0
         assert report["result"]["compared"] > 0
         assert report["seed"] == 7
+        # crosscheck reads no file, so there is no parse time to report
+        assert isinstance(report["elapsed_ms"], float) and report["elapsed_ms"] >= 0.0
+        assert "parse_ms" in report and report["parse_ms"] is None
 
 
 class TestUsageErrors:

@@ -8,12 +8,15 @@ the maximum-deficiency routes, and the deficiency bound.
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigdef import (
     Coloration,
+    SgParseError,
     build_graph,
     chromatic_number,
     classify_two_chromatic,
@@ -25,6 +28,7 @@ from sigdef import (
     is_stable,
     max_deficiency_3chromatic,
     maxdef,
+    parse_sg,
     stable_positive_cover,
     switch,
     switch_coloration,
@@ -219,3 +223,88 @@ def test_deficiency_plus_used_equals_declared(g):
         count, unused = deficiency(kappa)
         assert count == d == len(unused)
         assert count + len(kappa.used()) == kappa.size
+
+
+@SETTINGS
+@given(graph_with_subset(allow_double=True))
+def test_cover_checks_match_their_edge_definitions(gs):
+    g, A = gs
+    edges = list(g.signed_edges())
+    assert is_stable(g, A) == all(u not in A or v not in A for u, v, _ in edges)
+    assert covers_positive(g, A) == all(
+        u in A or v in A for u, v, sign in edges if sign > 0
+    )
+
+
+SG_LABELS = ("a", "b", "c", "d", "x1", "\u00e9")
+SG_SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+SG_TAILS = st.sampled_from(["", " ", "\t", " # note", "# e a b +", "\t#"])
+# each line is wrong on its own, whatever surrounds it
+MALFORMED_SG_LINES = (
+    "e a b", "e a b *", "e a b + +", "e a a +", "e a b # +", "v", "v a b",
+    "x a", "edge a b +", "E a b +", "\tv a b # c",
+)
+
+
+@st.composite
+def sg_lines(draw):
+    """Valid .sg lines: edges (duplicates and opposite-sign pairs among
+    them), v lines anywhere, comments, blank and whitespace-only lines."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        kind = draw(st.sampled_from(["e", "e", "e", "v", "comment", "blank"]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        if kind == "e":
+            a, b = draw(st.lists(st.sampled_from(SG_LABELS), min_size=2,
+                                 max_size=2, unique=True))
+            sign = draw(st.sampled_from("+-"))
+            line = lead + draw(SG_SPACES).join(["e", a, b, sign]) + draw(SG_TAILS)
+        elif kind == "v":
+            line = lead + "v" + draw(SG_SPACES) + draw(st.sampled_from(SG_LABELS))
+            line += draw(SG_TAILS)
+        elif kind == "comment":
+            line = lead + "#" + draw(st.sampled_from(["", " note", "e a b +", "v z"]))
+        else:
+            line = lead
+        lines.append(line)
+    return lines
+
+
+def _tokenise_sg(text):
+    """Reference reading of valid .sg text into v labels and edge triples."""
+    vertices, edges = [], []
+    for raw in text.splitlines():
+        fields = raw.partition("#")[0].split()
+        if fields and fields[0] == "v":
+            vertices.append(fields[1])
+        elif fields:
+            edges.append((fields[1], fields[2], fields[3]))
+    return vertices, edges
+
+
+@SETTINGS
+@given(sg_lines(), st.sampled_from(["\n", "\r\n"]))
+def test_parse_sg_agrees_with_build_graph(lines, newline):
+    text = newline.join(lines)
+    vertices, edges = _tokenise_sg(text)
+    ref = build_graph(edges, vertices=vertices)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = parse_sg(text)
+    assert (g.labels, g.pos_adj, g.neg_adj) == (ref.labels, ref.pos_adj, ref.neg_adj)
+    assert [g.id_of(lab) for lab in g.labels] == list(range(g.n))
+    duplicates = len(edges) - ref.positive_edge_count - ref.negative_edge_count
+    assert [str(w.message) for w in caught] == (
+        [f"collapsed {duplicates} duplicate same-sign edge(s)"] if duplicates else []
+    )
+
+
+@SETTINGS
+@given(sg_lines(), st.data())
+def test_parse_sg_names_the_malformed_line(lines, data):
+    at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+    lines.insert(at, data.draw(st.sampled_from(MALFORMED_SG_LINES)))
+    with pytest.raises(SgParseError) as caught:
+        parse_sg("\n".join(lines))
+    assert caught.value.line_no == at + 1
+    assert str(caught.value).startswith(f"line {at + 1}: ")

@@ -54,6 +54,19 @@ class TestParse:
         assert g.positive_edge_count == 1
         assert g.negative_edge_count == 1
 
+    def test_declared_labels_numbered_first(self):
+        # a v line after the edges still numbers its label ahead of the
+        # edge endpoints, which follow in order of first appearance
+        assert parse_sg("e x y +\nv z\n").labels == ("z", "x", "y")
+        assert parse_sg("e x y +\nv y\n").labels == ("y", "x")
+        g = parse_sg("v a\ne x y +\ne y a -\nv z\nv x\ne z q +\n")
+        assert g == build_graph(
+            [("x", "y", "+"), ("y", "a", "-"), ("z", "q", "+")],
+            vertices=["a", "z", "x"],
+        )
+        assert g.labels == ("a", "z", "x", "y", "q")
+        assert [g.id_of(lab) for lab in g.labels] == list(range(g.n))
+
 
 class TestRoundTrip:
     def test_triangle_round_trip(self, triangle):
