@@ -1,17 +1,23 @@
 """Exhaustive, independently coded ground truth for small signed graphs.
 
 Everything here answers by enumeration: chromatic number by trying canonical
-color sets of growing size, deficiency ranges by walking every proper
-coloration over the minimal set, stable covers of the positive edges by
+color sets of growing size, deficiency ranges by a backtracking walk over the
+proper colorations of the minimal set, stable covers of the positive edges by
 subset (or one-side-per-matched-pair) search, and switching ranges by trying
 every switching.  Inputs above the configured size bounds are refused rather
 than answered approximately.
+
+The chromatic number and the deficiency ranges share one search,
+``_first_colorations``.  It skips every subtree in which each deficiency still
+reachable has already been seen.  Such a subtree cannot hold the first
+coloration of a new value, so each reported witness is the one the unpruned
+walk meets first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .core import (
     Coloration,
@@ -72,39 +78,73 @@ def canonical_color_order(size: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _proper_assignments(g: SignedGraph, size: int) -> Iterator[tuple[int, ...]]:
-    """Yield every proper coloration over the canonical set of ``size``
-    colors, vertices ascending, colors in canonical scan order."""
+def _first_colorations(
+    g: SignedGraph, size: int, stop: int | None
+) -> dict[int, tuple[int, ...]]:
+    """First proper coloration of each deficiency over the canonical set of
+    ``size`` colors, in the walk order of vertices ascending and colors in
+    canonical scan order.
+
+    With ``stop`` None the walk visits every proper coloration.  With a
+    count it ends once that many deficiencies are recorded, and it skips
+    each subtree in which every deficiency still reachable is already
+    recorded: with ``distinct`` colors used and ``remaining`` vertices left,
+    a coloration below has deficiency between
+    max(0, size - distinct - remaining) and size - distinct.  A skipped
+    subtree holds no first coloration of an unrecorded value, so the result
+    equals the full walk's.
+    """
     n = g.n
-    if n == 0:
-        yield ()
-        return
     order = canonical_color_order(size)
-    if not order:
-        return
     pos_before = [[u for u in g.pos_adj[v] if u < v] for v in range(n)]
     neg_before = [[u for u in g.neg_adj[v] if u < v] for v in range(n)]
     assign = [0] * n
+    # use count per color; a negative color indexes from the end of the list
+    count = [0] * (2 * (size // 2) + 1)
+    found: dict[int, tuple[int, ...]] = {}
+    skip = stop is not None
+    seen = 0  # bit d is set once deficiency d is recorded
 
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
+    def extend(v: int, distinct: int) -> bool:
+        """Color vertices v.. given ``distinct`` colors used on 0..v-1;
+        True ends the whole walk."""
+        nonlocal seen
         if v == n:
-            yield tuple(assign)
-            return
+            d = size - distinct
+            if seen >> d & 1:
+                return False
+            found[d] = tuple(assign)
+            seen |= 1 << d
+            return len(found) == stop
+        if skip and seen:
+            hi = size - distinct
+            lo = hi - n + v
+            if lo < 0:
+                lo = 0
+            if not ((2 << hi) - (1 << lo)) & ~seen:
+                return False
         banned = {assign[u] for u in pos_before[v]}
         banned.update(-assign[u] for u in neg_before[v])
         for c in order:
-            if c not in banned:
-                assign[v] = c
-                yield from extend(v + 1)
+            if c in banned:
+                continue
+            assign[v] = c
+            count[c] += 1
+            done = extend(v + 1, distinct + (count[c] == 1))
+            count[c] -= 1
+            if done:
+                return True
+        return False
 
-    yield from extend(0)
+    extend(0, 0)
+    return found
 
 
 def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> int:
     """Size of the smallest canonical color set admitting a proper coloration.
 
-    0 for the vertexless graph.  Graphs with more than ``bound`` vertices
-    are refused.
+    0 for the vertexless graph.  Each size's walk ends at its first proper
+    coloration.  Graphs with more than ``bound`` vertices are refused.
     """
     if g.n == 0:
         return 0
@@ -114,7 +154,7 @@ def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -
             f"exceeds the bound of {bound}"
         )
     for size in range(1, 2 * g.n + 1):
-        if next(_proper_assignments(g, size), None) is not None:
+        if _first_colorations(g, size, stop=1):
             return size
     raise AssertionError("2n distinct positive colors always properly color")
 
@@ -140,25 +180,23 @@ def max_possible_deficiency(chi: int) -> int:
 
 
 def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyReport:
-    """Enumerate all proper colorations over the minimal color set and
-    collect the achieved deficiencies with one witness per value.  Graphs
-    above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
+    """Collect the deficiencies achieved by proper colorations over the
+    minimal color set, with the first coloration met of each value as its
+    witness.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
 
-    ``early_stop`` ends the walk once every achievable value has appeared;
-    witnesses are first-encountered either way, so reports are identical.
+    The walk skips subtrees that cannot yield a deficiency not yet seen and
+    ends once every achievable value has appeared.  A skipped subtree holds
+    no first occurrence of any value, so the witnesses are those of the full
+    walk.  ``early_stop=False`` walks every proper coloration with nothing
+    skipped: the reference the pruned walk is tested against.
     """
     chi = chromatic_number(g)
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
-    found: dict[int, tuple[int, ...]] = {}
-    for colors in _proper_assignments(g, chi):
-        d = chi - len(set(colors)) if g.n else 0
-        _check(d <= cap, "deficiency above floor(chi/2): enumeration defect")
-        if d not in found:
-            found[d] = colors
-            if early_stop and len(found) == cap + 1:
-                break
+    found = _first_colorations(g, chi, stop=cap + 1 if early_stop else None)
     _check(bool(found), "a minimal proper coloration must exist")
+    # every visited coloration's deficiency is a key of ``found``
+    _check(max(found) <= cap, "deficiency above floor(chi/2): enumeration defect")
     witnesses = {
         d: Coloration(colors, k, uses_zero) for d, colors in found.items()
     }

@@ -3,6 +3,9 @@ covers, switching ranges, and the constructive deficiency achiever."""
 
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 
 from sigdef import (
@@ -86,6 +89,58 @@ class TestDeficiencyReport:
             full = deficiency_report(g, early_stop=False)
             assert fast.range == full.range
             assert fast.per_deficiency == full.per_deficiency
+
+    def test_pruned_walk_matches_full_walk_at_desk_sizes(self):
+        # 10-12 vertices, sparse to dense: chi runs from 3 to 5, so some
+        # walks cap the deficiency at 2 and a skipped subtree can span two
+        # values at once.
+        chis, maxima = set(), set()
+        for seed in range(40):
+            n = 10 + seed % 3
+            p = (0.3, 0.4, 0.5, 0.6, 0.7)[seed % 5]
+            g = generate_general(n, p, 0.5, seed, double_prob=0.1)
+            full = deficiency_report(g, early_stop=False)
+            assert deficiency_report(g) == full, seed
+            chis.add(full.chi)
+            maxima.add(full.max_deficiency)
+        assert {3, 4, 5} <= chis
+        assert {0, 1, 2} <= maxima
+
+    def test_empty_graph(self):
+        for early_stop in (True, False):
+            rep = deficiency_report(build_graph([]), early_stop=early_stop)
+            assert rep.chi == 0
+            assert rep.range == frozenset({0})
+            assert rep.witness_max == rep.witness_min == Coloration((), 0, False)
+
+    def test_pruning_skips_subtrees_with_nothing_new(self):
+        # A positive triangle, colored first, then 9 isolated vertices:
+        # 6 * 3^9 = 118098 proper colorations, all of deficiency 0.  Once
+        # the first is recorded, every subtree below the colored triangle
+        # has nothing new to offer.  Timed as process time with the
+        # collector paused; the ratio, not a wall-clock budget, is the test.
+        g = build_graph(
+            [("a", "b", "+"), ("b", "c", "+"), ("a", "c", "+")],
+            vertices=["a", "b", "c"] + [f"x{i}" for i in range(9)],
+        )
+
+        def cost(early_stop: bool, rounds: int) -> int:
+            best = None
+            for _ in range(rounds):
+                gc.collect()
+                gc.disable()
+                try:
+                    started = time.process_time_ns()
+                    rep = deficiency_report(g, early_stop=early_stop)
+                    elapsed = time.process_time_ns() - started
+                finally:
+                    gc.enable()
+                assert rep.range == frozenset({0})
+                best = elapsed if best is None else min(best, elapsed)
+            return best
+
+        pruned, full = cost(True, 5), cost(False, 1)
+        assert 20 * pruned <= full, (pruned, full)
 
     def test_deterministic_witnesses(self, triangle):
         a = deficiency_report(triangle)

@@ -148,6 +148,13 @@ def test_deficiency_range_bounded_by_half_chi(g):
 
 @SETTINGS
 @given(signed_graphs(allow_double=True))
+def test_pruned_deficiency_report_equals_full_walk(g):
+    # the whole report: chi, range, extremes and every witness
+    assert deficiency_report(g) == deficiency_report(g, early_stop=False)
+
+
+@SETTINGS
+@given(signed_graphs(allow_double=True))
 def test_maximum_deficiency_routes_agree(g):
     """Cover existence, bipartition search, enumerated deficiency, and the
     decision procedure all say the same thing on 3-chromatic graphs."""
