@@ -207,7 +207,13 @@ def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> Sign
     )
 
 
-def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
+def _cmd_crosscheck(args, _: None) -> tuple[dict | None, int]:
+    if args.count < 0:
+        print("error: --count must be non-negative", file=sys.stderr)
+        return None, EXIT_USAGE
+    if args.max_pairs < 1:
+        print("error: --max-pairs must be at least 1", file=sys.stderr)
+        return None, EXIT_USAGE
     rng = random.Random(args.seed)
     mismatches = 0
     compared = 0

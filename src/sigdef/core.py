@@ -13,7 +13,6 @@ color); duplicate edges of equal sign are collapsed at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -48,28 +47,60 @@ def _as_sign(raw) -> int:
         raise ValueError(f"edge sign must be '+', '-', 1 or -1, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
 class SignedGraph:
     """Vertex-labeled signed graph stored as paired adjacency lists.
 
     Vertices are dense integer ids 0..n-1; ``labels[v]`` is the external
     name of vertex ``v``.  ``pos_adj[v]`` / ``neg_adj[v]`` are sorted tuples
-    of the vertices positively / negatively adjacent to ``v``.  Instances
-    are immutable and safe to share across threads.
+    of the vertices positively / negatively adjacent to ``v``.  ``_index``
+    maps each label to its id and is built from ``labels`` when not given.
+    Instances are immutable (assigning an attribute raises AttributeError)
+    and safe to share across threads.  Equality and hashing read
+    ``labels``, ``pos_adj`` and ``neg_adj`` only.
     """
 
-    labels: tuple[str, ...]
-    pos_adj: tuple[tuple[int, ...], ...]
-    neg_adj: tuple[tuple[int, ...], ...]
-    _index: Mapping[str, int] = field(
-        default=None, repr=False, compare=False, hash=False
-    )
+    __slots__ = ("labels", "pos_adj", "neg_adj", "_index")
 
-    def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(
-                self, "_index", {lab: i for i, lab in enumerate(self.labels)}
-            )
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        pos_adj: tuple[tuple[int, ...], ...],
+        neg_adj: tuple[tuple[int, ...], ...],
+        _index: Mapping[str, int] | None = None,
+    ):
+        if _index is None:
+            _index = {lab: i for i, lab in enumerate(labels)}
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "pos_adj", pos_adj)
+        object.__setattr__(self, "neg_adj", neg_adj)
+        object.__setattr__(self, "_index", _index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.pos_adj, self.neg_adj) == (
+            other.labels, other.pos_adj, other.neg_adj
+        )
+
+    def __hash__(self):
+        return hash((self.labels, self.pos_adj, self.neg_adj))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default restore of
+        # slots would assign through __setattr__, which refuses
+        return SignedGraph, (self.labels, self.pos_adj, self.neg_adj, self._index)
+
+    def __repr__(self):
+        return (
+            f"SignedGraph(labels={self.labels!r}, pos_adj={self.pos_adj!r}, "
+            f"neg_adj={self.neg_adj!r})"
+        )
 
     @property
     def n(self) -> int:
@@ -176,28 +207,54 @@ def build_graph(
     return _from_sets(index, pos, neg, index)
 
 
-@dataclass(frozen=True)
 class Coloration:
     """Vertex colors over an explicitly declared color set.
 
     The declared set is {±1, ..., ±k}, plus 0 when ``uses_zero``.  Deficiency
     is counted against the declared set, which therefore must be stored with
     the colors rather than inferred from them.  ``colors[v]`` is the color of
-    vertex id ``v``.
+    vertex id ``v``.  Instances are immutable, and equal when all three
+    fields are.
     """
 
-    colors: tuple[int, ...]
-    k: int
-    uses_zero: bool = False
+    __slots__ = ("colors", "k", "uses_zero")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, colors: tuple[int, ...], k: int, uses_zero: bool = False):
+        if k < 0:
             raise ValueError("color scale k must be non-negative")
-        for v, c in enumerate(self.colors):
-            if abs(c) > self.k:
-                raise ValueError(f"color {c} at vertex {v} outside |c| <= {self.k}")
-            if c == 0 and not self.uses_zero:
+        for v, c in enumerate(colors):
+            if abs(c) > k:
+                raise ValueError(f"color {c} at vertex {v} outside |c| <= {k}")
+            if c == 0 and not uses_zero:
                 raise ValueError(f"vertex {v} colored 0 but the color set excludes 0")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "uses_zero", uses_zero)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.colors, self.k, self.uses_zero) == (
+            other.colors, other.k, other.uses_zero
+        )
+
+    def __hash__(self):
+        return hash((self.colors, self.k, self.uses_zero))
+
+    def __reduce__(self):
+        return Coloration, (self.colors, self.k, self.uses_zero)
+
+    def __repr__(self):
+        return (
+            f"Coloration(colors={self.colors!r}, k={self.k!r}, "
+            f"uses_zero={self.uses_zero!r})"
+        )
 
     @property
     def size(self) -> int:

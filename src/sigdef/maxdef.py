@@ -43,8 +43,8 @@ lowest qualifying id still acts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import oracle
 from .core import SignedGraph, _check, covers_positive, is_stable
@@ -74,8 +74,7 @@ def side_name(x: int) -> str:
     return f"{'ab'[x & 1]}{(x >> 1) + 1}"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One executed action of a run, machine-readable for replay."""
 
     step: int
@@ -96,15 +95,13 @@ class TraceEntry:
         }
 
 
-@dataclass(frozen=True)
-class NotBipartite:
+class NotBipartite(NamedTuple):
     """Flatten verdict: some positive component has an odd cycle, so the
     maximum deficiency is 0 outright."""
 
     component: tuple[str, ...]
 
 
-@dataclass
 class MatchedState:
     """Mutable working state of a run on the flattened graph.
 
@@ -120,9 +117,10 @@ class MatchedState:
     deleting a pair and identifying vertices in place only pop keys.  No
     rule reads the iteration order of a neighbor set.
 
-    Candidate sets for steps 5-9, built on construction from ``neg``.  Once
-    flattened, only ``_delete_pair`` and ``_identify`` change the graph, and
-    they keep these current:
+    ``__init__`` takes the flattened graph and starts the cover, forbidden
+    and dropped sets and the trace empty.  It builds the candidate sets for
+    steps 5-9 from ``neg``.  From then on only ``_delete_pair`` and
+    ``_identify`` change the graph, and they keep these current:
 
     * ``loops`` is exactly the set of live ids with a loop.  ``_identify``
       runs only while it is empty, and adds each survivor that gains a
@@ -142,22 +140,31 @@ class MatchedState:
       test, and stay forbidden until their pair is deleted.
     """
 
-    source: SignedGraph
-    neg: dict[int, set[int]]
-    recovery: dict[int, set[int]]
-    kept_originals: frozenset[int]
-    cover_ids: set[int] = field(default_factory=set)
-    forbidden: set[int] = field(default_factory=set)
-    dropped: set[int] = field(default_factory=set)
-    trace: list[TraceEntry] = field(default_factory=list)
-    validate: bool = False
-    checks: int = 0
-    loops: set[int] = field(init=False)
-    queues: dict[int, list[int]] = field(init=False)
+    __slots__ = (
+        "source", "neg", "recovery", "kept_originals", "cover_ids", "forbidden",
+        "dropped", "trace", "validate", "checks", "loops", "queues",
+    )
 
-    def __post_init__(self) -> None:
-        self.loops = {x for x, nbrs in self.neg.items() if x in nbrs}
-        self.queues = {step: list(self.neg) for step in _QUEUE_TESTS}
+    def __init__(
+        self,
+        source: SignedGraph,
+        neg: dict[int, set[int]],
+        recovery: dict[int, set[int]],
+        kept_originals: frozenset[int],
+        validate: bool = False,
+    ):
+        self.source = source
+        self.neg = neg
+        self.recovery = recovery
+        self.kept_originals = kept_originals
+        self.cover_ids: set[int] = set()
+        self.forbidden: set[int] = set()
+        self.dropped: set[int] = set()
+        self.trace: list[TraceEntry] = []
+        self.validate = validate
+        self.checks = 0
+        self.loops = {x for x, nbrs in neg.items() if x in nbrs}
+        self.queues = {step: list(neg) for step in _QUEUE_TESTS}
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
@@ -202,8 +209,7 @@ class MatchedState:
         self.checks += 1
 
 
-@dataclass(frozen=True)
-class ForcingGraph:
+class ForcingGraph(NamedTuple):
     """Digraph of forced cover decisions: x -> y present exactly when x is
     negatively adjacent to y's partner, so covering x forces covering y.
     Edges mirror: x -> y exists iff partner(y) -> partner(x) does."""
@@ -211,8 +217,7 @@ class ForcingGraph:
     out_adj: dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class MaxDefResult:
+class MaxDefResult(NamedTuple):
     """Outcome of a run: the 0/1 maximum deficiency, a stable cover of the
     positive edges in original labels when the answer is 1, the step that
     ended the run, and the full action trace.  ``checks`` counts the

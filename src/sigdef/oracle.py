@@ -16,8 +16,7 @@ walk meets first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     Coloration,
@@ -78,12 +77,27 @@ def canonical_color_order(size: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _earlier_neighbors(g: SignedGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """For each vertex v, its positive and its negative neighbors with lower
+    ids: the ones already colored when the walk reaches v.  Built once per
+    entry point and shared by every color-set size it tries."""
+    n = g.n
+    return (
+        [[u for u in g.pos_adj[v] if u < v] for v in range(n)],
+        [[u for u in g.neg_adj[v] if u < v] for v in range(n)],
+    )
+
+
 def _first_colorations(
-    g: SignedGraph, size: int, stop: int | None
+    pos_before: list[list[int]],
+    neg_before: list[list[int]],
+    size: int,
+    stop: int | None,
 ) -> dict[int, tuple[int, ...]]:
     """First proper coloration of each deficiency over the canonical set of
     ``size`` colors, in the walk order of vertices ascending and colors in
-    canonical scan order.
+    canonical scan order, for the graph whose earlier neighbors are
+    ``pos_before`` / ``neg_before`` (see ``_earlier_neighbors``).
 
     With ``stop`` None the walk visits every proper coloration.  With a
     count it ends once that many deficiencies are recorded, and it skips
@@ -94,10 +108,8 @@ def _first_colorations(
     subtree holds no first coloration of an unrecorded value, so the result
     equals the full walk's.
     """
-    n = g.n
+    n = len(pos_before)
     order = canonical_color_order(size)
-    pos_before = [[u for u in g.pos_adj[v] if u < v] for v in range(n)]
-    neg_before = [[u for u in g.neg_adj[v] if u < v] for v in range(n)]
     assign = [0] * n
     # use count per color; a negative color indexes from the end of the list
     count = [0] * (2 * (size // 2) + 1)
@@ -153,14 +165,14 @@ def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -
             f"chromatic number needs exhaustive search; {g.n} vertices "
             f"exceeds the bound of {bound}"
         )
+    pos_before, neg_before = _earlier_neighbors(g)
     for size in range(1, 2 * g.n + 1):
-        if _first_colorations(g, size, stop=1):
+        if _first_colorations(pos_before, neg_before, size, stop=1):
             return size
     raise AssertionError("2n distinct positive colors always properly color")
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     """Deficiency landscape of a graph over its minimal color set."""
 
     chi: int
@@ -193,7 +205,10 @@ def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyR
     chi = chromatic_number(g)
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
-    found = _first_colorations(g, chi, stop=cap + 1 if early_stop else None)
+    pos_before, neg_before = _earlier_neighbors(g)
+    found = _first_colorations(
+        pos_before, neg_before, chi, stop=cap + 1 if early_stop else None
+    )
     _check(bool(found), "a minimal proper coloration must exist")
     # every visited coloration's deficiency is a key of ``found``
     _check(max(found) <= cap, "deficiency above floor(chi/2): enumeration defect")
@@ -310,8 +325,7 @@ def max_deficiency_3chromatic(
     return 1 if cover is not None else 0
 
 
-@dataclass(frozen=True)
-class SwitchingReport:
+class SwitchingReport(NamedTuple):
     """Deficiencies achievable across an entire switching class."""
 
     chi: int

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sigdef
 from sigdef import parse_sg
 from sigdef.cli import main
 
@@ -47,14 +52,20 @@ def run_json(capsys, argv):
     return code, report, err
 
 
+def fresh_python(script: str) -> str:
+    """Stdout of ``script`` run by ``python -c`` in a fresh interpreter that
+    imports sigdef from this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestMaxdefCommand:
     def test_parser_built_once_and_not_at_import(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import sigdef
         from sigdef.cli import build_parser
 
         assert build_parser() is build_parser()
@@ -62,12 +73,15 @@ class TestMaxdefCommand:
             "from sigdef.cli import build_parser\n"
             "print(build_parser.cache_info().currsize)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.stdout == "0\n", proc.stderr
+        assert fresh_python(script) == "0\n"
+
+    def test_cold_import_loads_no_dataclass_machinery(self):
+        listing = "import sys\nprint(' '.join(sorted(sys.modules)))\n"
+        baseline = set(fresh_python(listing).split())
+        loaded = set(fresh_python("import sigdef.cli\n" + listing).split())
+        added = loaded - baseline
+        assert "sigdef.cli" in added
+        assert not added & {"dataclasses", "inspect"}, sorted(added)
 
     def test_worked_example(self, capsys, worked_file):
         code, report, err = run_json(capsys, ["maxdef", worked_file])
@@ -226,6 +240,14 @@ class TestCrosscheck:
         # crosscheck reads no file, so there is no parse time to report
         assert isinstance(report["elapsed_ms"], float) and report["elapsed_ms"] >= 0.0
         assert "parse_ms" in report and report["parse_ms"] is None
+
+    @pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--max-pairs", "0")])
+    def test_nonsense_counts_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, ["crosscheck", flag, value, "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
 
 
 class TestUsageErrors:

@@ -3,10 +3,14 @@ stability, and the 2-chromatic classifier."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from sigdef import (
     Coloration,
+    SignedGraph,
     TwoChromaticCase,
     build_graph,
     chromatic_number,
@@ -66,6 +70,64 @@ class TestBuildGraph:
     def test_isolated_vertices_via_vertices_arg(self):
         g = build_graph([("a", "b", "+")], vertices=["z", "a"])
         assert g.labels == ("z", "a", "b")
+
+
+class TestValueSemantics:
+    def test_graph_equality_and_hash_ignore_index(self, triangle):
+        rebuilt = SignedGraph(triangle.labels, triangle.pos_adj, triangle.neg_adj)
+        scrambled = SignedGraph(
+            labels=triangle.labels,
+            pos_adj=triangle.pos_adj,
+            neg_adj=triangle.neg_adj,
+            _index={"elsewhere": 7},
+        )
+        assert rebuilt._index == {"u": 0, "v": 1, "w": 2}
+        for other in (rebuilt, scrambled):
+            assert other == triangle
+            assert hash(other) == hash(triangle)
+        assert len({triangle, rebuilt, scrambled}) == 1
+        assert triangle != switch(triangle, {2})
+        assert triangle != (triangle.labels, triangle.pos_adj, triangle.neg_adj)
+
+    def test_coloration_equal_and_hash_equal_for_equal_fields(self):
+        kap = Coloration((1, -1), k=1, uses_zero=True)
+        same = Coloration((1, -1), 1, True)
+        assert kap == same and hash(kap) == hash(same)
+        assert kap.colors == (1, -1) and kap.k == 1 and kap.uses_zero is True
+        others = [
+            Coloration((1, -1), k=1),
+            Coloration((1, -1), k=2, uses_zero=True),
+            Coloration((-1, 1), k=1, uses_zero=True),
+        ]
+        assert all(kap != other for other in others)
+        assert len({kap, same, *others}) == 4
+
+    def test_pickle_and_copy_round_trip(self, triangle):
+        kap = Coloration((1, -1, 0), k=1, uses_zero=True)
+        for value in (triangle, kap):
+            for clone in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert clone == value and clone is not value
+        assert pickle.loads(pickle.dumps(triangle)).id_of("w") == 2
+
+    def test_fields_read_only(self, triangle):
+        kap = Coloration((1, 0, 1), k=1, uses_zero=True)
+        for value, field in (
+            (triangle, "labels"),
+            (triangle, "neg_adj"),
+            (triangle, "_index"),
+            (kap, "colors"),
+            (kap, "uses_zero"),
+        ):
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
 
 
 class TestIsProper:

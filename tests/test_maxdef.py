@@ -21,6 +21,7 @@ from sigdef import (
 )
 from sigdef.maxdef import (
     MatchedState,
+    TraceEntry,
     flatten,
     side_name,
     step3_check,
@@ -508,6 +509,24 @@ class TestMaxDefRuns:
             assert set(payload) == {
                 "step", "detail", "pairs_removed", "s_added", "b_added", "merges",
             }
+
+    def test_result_and_trace_entries_read_only(self, worked_example):
+        result = maxdef(worked_example, assume_chromatic_3=True)
+        entry = result.trace[0]
+        for value, field in ((result, "value"), (result, "trace"), (entry, "step")):
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            assert getattr(value, field) is before
+
+    def test_trace_entry_defaults(self):
+        entry = TraceEntry(step=9, detail="pendant")
+        assert entry == TraceEntry(9, "pendant", 0, (), (), ())
+        assert hash(entry) == hash(TraceEntry(9, "pendant"))
+        assert entry.to_json() == {
+            "step": 9, "detail": "pendant", "pairs_removed": 0,
+            "s_added": [], "b_added": [], "merges": [],
+        }
 
 
 class TestLiveOrder:
