@@ -8,8 +8,17 @@ every switching.  Inputs above the configured size bounds are refused rather
 than answered approximately.
 
 The chromatic number and the deficiency ranges share one search,
-``_first_colorations``.  It skips every subtree in which each deficiency still
-reachable has already been seen.  Such a subtree cannot hold the first
+``_first_colorations``, and one loop over color-set sizes; a deficiency
+report walks each size once.  The search colors vertices in ascending order
+and tries colors in canonical scan order, forward checking as it goes: each
+vertex keeps a bitmask domain of the colors its colored neighbors still
+allow, and a choice that empties some domain is not entered.  Such a
+subtree holds no proper coloration, so the colorations met, and their
+order, are those of the plain walk.  With a stop count the search also
+skips every subtree in which each deficiency still reachable has already
+been seen.  When only the largest reachable one is new, it keeps to the
+colors already used: a coloration below that adds a color has a smaller
+deficiency, and each of those has been seen.  Neither cut removes the first
 coloration of a new value, so each reported witness is the one the unpruned
 walk meets first.
 """
@@ -77,79 +86,145 @@ def canonical_color_order(size: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _earlier_neighbors(g: SignedGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """For each vertex v, its positive and its negative neighbors with lower
-    ids: the ones already colored when the walk reaches v.  Built once per
-    entry point and shared by every color-set size it tries."""
-    n = g.n
-    return (
-        [[u for u in g.pos_adj[v] if u < v] for v in range(n)],
-        [[u for u in g.neg_adj[v] if u < v] for v in range(n)],
-    )
+def _later_neighbors(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """For each vertex v, its neighbors with higher ids, as (u, 0) across a
+    positive and (u, 1) across a negative edge: the vertices whose domains
+    coloring v narrows.  Built once per entry point and shared by every
+    color-set size it tries."""
+    return [
+        [(u, 0) for u in g.pos_adj[v] if u > v]
+        + [(u, 1) for u in g.neg_adj[v] if u > v]
+        for v in range(g.n)
+    ]
 
 
 def _first_colorations(
-    pos_before: list[list[int]],
-    neg_before: list[list[int]],
+    later: list[list[tuple[int, int]]],
     size: int,
     stop: int | None,
 ) -> dict[int, tuple[int, ...]]:
     """First proper coloration of each deficiency over the canonical set of
     ``size`` colors, in the walk order of vertices ascending and colors in
-    canonical scan order, for the graph whose earlier neighbors are
-    ``pos_before`` / ``neg_before`` (see ``_earlier_neighbors``).
+    canonical scan order, for the graph whose later neighbors are
+    ``later`` (see ``_later_neighbors``).
+
+    Each vertex keeps a domain: a bitmask over the indices of
+    ``canonical_color_order(size)`` of the colors still allowed to it.
+    Coloring v with c removes c from the domains of v's later positive
+    neighbors and -c from those of its later negative neighbors; each
+    changed domain is saved and restored on backtrack.  A child that leaves
+    some later vertex no color to choose is not entered: its subtree holds
+    no leaf the walk would record, so the leaves visited, and their order,
+    are those of the walk without domains.
 
     With ``stop`` None the walk visits every proper coloration.  With a
-    count it ends once that many deficiencies are recorded, and it skips
-    each subtree in which every deficiency still reachable is already
-    recorded: with ``distinct`` colors used and ``remaining`` vertices left,
-    a coloration below has deficiency between
-    max(0, size - distinct - remaining) and size - distinct.  A skipped
-    subtree holds no first coloration of an unrecorded value, so the result
+    count it ends once that many deficiencies are recorded, and it prunes
+    by what is still reachable: with u colors used and r vertices left, a
+    coloration below has deficiency between lo = max(0, size - u - r) and
+    hi = size - u.
+    When every value in that range is recorded, the subtree is skipped.
+    When hi is the only one not recorded, the subtree is limited to the
+    colors already used, and ends at once if some remaining vertex has no
+    used color left in its domain: a leaf below that uses a new color has
+    deficiency below hi, and every such value is recorded.  Neither cut
+    removes the first coloration of an unrecorded value, so the result
     equals the full walk's.
     """
-    n = len(pos_before)
+    n = len(later)
     order = canonical_color_order(size)
+    flip = [order.index(-c) for c in order]  # index of -c for the index of c
+    full = (1 << size) - 1
+    dom = [full] * n
     assign = [0] * n
-    # use count per color; a negative color indexes from the end of the list
-    count = [0] * (2 * (size // 2) + 1)
     found: dict[int, tuple[int, ...]] = {}
     skip = stop is not None
     seen = 0  # bit d is set once deficiency d is recorded
 
-    def extend(v: int, distinct: int) -> bool:
-        """Color vertices v.. given ``distinct`` colors used on 0..v-1;
-        True ends the whole walk."""
+    def extend(v: int, used: int, allowed: int) -> bool:
+        """Color vertices v.. given the mask ``used`` of the colors on
+        0..v-1, choosing only colors in ``allowed``; True ends the whole
+        walk."""
         nonlocal seen
         if v == n:
-            d = size - distinct
+            d = size - used.bit_count()
             if seen >> d & 1:
                 return False
             found[d] = tuple(assign)
             seen |= 1 << d
             return len(found) == stop
         if skip and seen:
-            hi = size - distinct
+            hi = size - used.bit_count()
             lo = hi - n + v
             if lo < 0:
                 lo = 0
-            if not ((2 << hi) - (1 << lo)) & ~seen:
+            unseen = ((2 << hi) - (1 << lo)) & ~seen
+            if not unseen:
                 return False
-        banned = {assign[u] for u in pos_before[v]}
-        banned.update(-assign[u] for u in neg_before[v])
-        for c in order:
-            if c in banned:
-                continue
-            assign[v] = c
-            count[c] += 1
-            done = extend(v + 1, distinct + (count[c] == 1))
-            count[c] -= 1
-            if done:
-                return True
+            if unseen == 1 << hi and allowed != used:
+                allowed = used
+                for u in range(v, n):
+                    if not dom[u] & used:
+                        return False
+        trail: list[int] = []
+        choices = dom[v] & allowed
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            i = bit.bit_length() - 1
+            removes = (bit, 1 << flip[i])  # from positive, negative neighbors
+            alive = True
+            for u, negative in later[v]:
+                d = dom[u]
+                b = removes[negative]
+                if d & b:
+                    trail += (u, d)
+                    d ^= b
+                    dom[u] = d
+                    if not d & allowed:
+                        alive = False
+                        break
+            if alive:
+                assign[v] = order[i]
+                if extend(v + 1, used | bit, allowed):
+                    return True
+            while trail:
+                d = trail.pop()
+                dom[trail.pop()] = d
         return False
 
-    extend(0, 0)
+    extend(0, 0, full)
     return found
+
+
+def _minimal_colorations(
+    g: SignedGraph, bound: int, *, first_only: bool, early_stop: bool = True
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The smallest canonical color-set size admitting a proper coloration,
+    and what ``_first_colorations`` finds at that size: its first coloration
+    only with ``first_only``, else the first of each deficiency, pruned
+    unless ``early_stop`` is False.  Smaller sizes hold no proper coloration,
+    so the stop count tried there changes nothing.  The vertexless graph
+    gives size 0 and its one empty coloration.  Graphs with more than
+    ``bound`` vertices are refused."""
+    if g.n == 0:
+        return 0, {0: ()}
+    if g.n > bound:
+        raise BoundExceededError(
+            f"chromatic number needs exhaustive search; {g.n} vertices "
+            f"exceeds the bound of {bound}"
+        )
+    later = _later_neighbors(g)
+    for size in range(1, 2 * g.n + 1):
+        if first_only:
+            stop = 1
+        elif early_stop:
+            stop = max_possible_deficiency(size) + 1
+        else:
+            stop = None
+        found = _first_colorations(later, size, stop)
+        if found:
+            return size, found
+    raise AssertionError("2n distinct positive colors always properly color")
 
 
 def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> int:
@@ -158,18 +233,7 @@ def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -
     0 for the vertexless graph.  Each size's walk ends at its first proper
     coloration.  Graphs with more than ``bound`` vertices are refused.
     """
-    if g.n == 0:
-        return 0
-    if g.n > bound:
-        raise BoundExceededError(
-            f"chromatic number needs exhaustive search; {g.n} vertices "
-            f"exceeds the bound of {bound}"
-        )
-    pos_before, neg_before = _earlier_neighbors(g)
-    for size in range(1, 2 * g.n + 1):
-        if _first_colorations(pos_before, neg_before, size, stop=1):
-            return size
-    raise AssertionError("2n distinct positive colors always properly color")
+    return _minimal_colorations(g, bound, first_only=True)[0]
 
 
 class DeficiencyReport(NamedTuple):
@@ -196,19 +260,19 @@ def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyR
     minimal color set, with the first coloration met of each value as its
     witness.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
 
-    The walk skips subtrees that cannot yield a deficiency not yet seen and
-    ends once every achievable value has appeared.  A skipped subtree holds
-    no first occurrence of any value, so the witnesses are those of the full
-    walk.  ``early_stop=False`` walks every proper coloration with nothing
-    skipped: the reference the pruned walk is tested against.
+    Each color-set size is walked once: sizes below chi hold no proper
+    coloration, and the walk at chi gives the report.  The walk skips
+    subtrees that cannot yield a deficiency not yet seen and ends once every
+    achievable value has appeared.  A skipped subtree holds no first
+    occurrence of any value, so the witnesses are those of the full walk.
+    ``early_stop=False`` visits every proper coloration with nothing
+    skipped; the tests hold both against an independent brute force.
     """
-    chi = chromatic_number(g)
+    chi, found = _minimal_colorations(
+        g, DEFAULT_EXHAUSTIVE_BOUND, first_only=False, early_stop=early_stop
+    )
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
-    pos_before, neg_before = _earlier_neighbors(g)
-    found = _first_colorations(
-        pos_before, neg_before, chi, stop=cap + 1 if early_stop else None
-    )
     _check(bool(found), "a minimal proper coloration must exist")
     # every visited coloration's deficiency is a key of ``found``
     _check(max(found) <= cap, "deficiency above floor(chi/2): enumeration defect")

@@ -4,8 +4,10 @@ Every result's JSON, its full trace and its invariant-check count are
 hashed over three fixed corpora: the exhaustive small-graph sweep of the
 acceptance suite, a seeded batch of general graphs, and seeded planted
 value-1 matched graphs, which run long enough to reach steps 4 and 6-12.
-Any refactor of the ladder must leave the digest unchanged; a deliberate
-change of behaviour records a new constant.
+A second digest hashes the exhaustive oracles' answers and witnesses over
+the same seeded general batch.  Any refactor of the ladder or the oracle
+must leave its digest unchanged; a deliberate change of behaviour records
+a new constant.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import hashlib
 import json
 import random
 
-from sigdef import NotThreeChromaticError, generate_general, generate_matched, maxdef
+from sigdef import (
+    NotThreeChromaticError,
+    chromatic_number,
+    deficiency_report,
+    generate_general,
+    generate_matched,
+    maxdef,
+    switching_report,
+)
 
 from test_acceptance import _exhaustive_graphs
 
@@ -24,6 +34,8 @@ PLANTED_SEED = 9001
 PLANTED_COUNT = 60
 
 GOLDEN_DIGEST = "149a12cdc69760ee3331ffe665ba270c7f8704e99dc874891a3df2887404e64f"
+GOLDEN_ORACLE_DIGEST = "4e8e75e6c007ff9bf016930bc547d1a5fb54208a00c18a0da27c95732f2d8759"
+SWITCHING_MAX_N = 7
 
 
 def _planted(pairs: int, rng: random.Random):
@@ -45,18 +57,22 @@ def _planted(pairs: int, rng: random.Random):
     return generate_matched(pairs, 0.0, 0, negative_edges=edges)
 
 
-def _corpus():
-    for g in _exhaustive_graphs():
-        yield g, {}
+def _general_graphs():
     rng = random.Random(GENERAL_SEED)
     for _ in range(GENERAL_COUNT):
-        g = generate_general(
+        yield generate_general(
             rng.randint(2, 12),
             rng.uniform(0.1, 0.8),
             rng.uniform(0.1, 0.9),
             rng.getrandbits(32),
             double_prob=0.05,
         )
+
+
+def _corpus():
+    for g in _exhaustive_graphs():
+        yield g, {}
+    for g in _general_graphs():
         yield g, {"assume_chromatic_3": True}
     rng = random.Random(PLANTED_SEED)
     for _ in range(PLANTED_COUNT):
@@ -90,3 +106,30 @@ def test_golden_trace_digest():
     assert planted_values == [1] * PLANTED_COUNT
     assert reached >= {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, sorted(reached)
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _oracle_record(g) -> dict:
+    rep = deficiency_report(g)
+    record = {
+        "chi": chromatic_number(g),
+        "report_chi": rep.chi,
+        "range": sorted(rep.range),
+        "per_deficiency": [
+            [d, list(rep.per_deficiency[d].colors)] for d in sorted(rep.range)
+        ],
+    }
+    if g.n <= SWITCHING_MAX_N:
+        sw = switching_report(g)
+        record["switching"] = [
+            [d, sorted(sw.witnesses[d][0]), list(sw.witnesses[d][1].colors)]
+            for d in sorted(sw.range)
+        ]
+    return record
+
+
+def test_golden_oracle_digest():
+    digest = hashlib.sha256()
+    for g in _general_graphs():
+        digest.update(json.dumps(_oracle_record(g), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_ORACLE_DIGEST

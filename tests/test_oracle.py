@@ -4,6 +4,7 @@ covers, switching ranges, and the constructive deficiency achiever."""
 from __future__ import annotations
 
 import gc
+import itertools
 import time
 
 import pytest
@@ -27,8 +28,26 @@ from sigdef import (
     switch,
     switching_report,
 )
+from sigdef.oracle import canonical_color_order
 
 from conftest import WORKED_COVER
+
+
+def _brute_force_report(g):
+    """Tests-only reference, sharing no search code with the oracle: the
+    smallest canonical set size with a proper coloration, and the first
+    coloration of each deficiency in ``itertools.product`` order (vertex 0
+    most significant, colors in canonical scan order)."""
+    for size in range(2 * g.n + 1):
+        k, uses_zero = size // 2, bool(size % 2)
+        first = {}
+        for colors in itertools.product(canonical_color_order(size), repeat=g.n):
+            kappa = Coloration(colors, k, uses_zero)
+            if is_proper(g, kappa):
+                first.setdefault(deficiency(kappa)[0], kappa)
+        if first:
+            return size, first
+    raise AssertionError("2n distinct positive colors always properly color")
 
 
 class TestChromaticNumber:
@@ -105,6 +124,24 @@ class TestDeficiencyReport:
             maxima.add(full.max_deficiency)
         assert {3, 4, 5} <= chis
         assert {0, 1, 2} <= maxima
+
+    def test_both_walks_match_brute_force(self):
+        # Up to 6 vertices, dense and with many doubled edges, so that chi
+        # runs up to 5; both modes must give the brute force's chi, range
+        # and first witness of every value.
+        chis = set()
+        for seed in range(80):
+            n = 2 + seed % 5
+            p = (0.5, 0.7, 0.9)[seed % 3]
+            g = generate_general(n, p, 0.5, seed, double_prob=0.3)
+            chi, first = _brute_force_report(g)
+            for early_stop in (True, False):
+                rep = deficiency_report(g, early_stop=early_stop)
+                assert rep.chi == chromatic_number(g) == chi, seed
+                assert rep.range == frozenset(first), seed
+                assert dict(rep.per_deficiency) == first, seed
+            chis.add(chi)
+        assert {2, 3, 4, 5} <= chis
 
     def test_empty_graph(self):
         for early_stop in (True, False):
