@@ -195,7 +195,7 @@ def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> Sign
     # Alternate matched-form instances (the contraction-heavy paths) with
     # general ones (exercising the flattening).
     if index % 2 == 0:
-        pairs = rng.randint(1, min(max_pairs, oracle.DEFAULT_PAIR_BOUND))
+        pairs = rng.randint(1, max_pairs)
         return sgio.generate_matched(pairs, rng.uniform(0.0, 0.5), rng.getrandbits(32))
     n = rng.randint(2, oracle.DEFAULT_SWITCHING_BOUND)
     return sgio.generate_general(
@@ -213,6 +213,12 @@ def _cmd_crosscheck(args, _: None) -> tuple[dict | None, int]:
         return None, EXIT_USAGE
     if args.max_pairs < 1:
         print("error: --max-pairs must be at least 1", file=sys.stderr)
+        return None, EXIT_USAGE
+    if args.max_pairs > oracle.DEFAULT_PAIR_BOUND:
+        print(
+            f"error: --max-pairs must be at most {oracle.DEFAULT_PAIR_BOUND}",
+            file=sys.stderr,
+        )
         return None, EXIT_USAGE
     rng = random.Random(args.seed)
     mismatches = 0
@@ -321,7 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="random equivalence runs of the decision procedure vs. enumeration",
     )
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-pairs", type=int, default=8)
+    p.add_argument(
+        "--max-pairs",
+        type=int,
+        default=8,
+        help=f"largest matched instance, at most {oracle.DEFAULT_PAIR_BOUND} pairs",
+    )
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_run_report, report=_cmd_crosscheck)
 

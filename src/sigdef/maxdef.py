@@ -17,8 +17,10 @@ Rule ladder, in priority order (numbering is part of the trace contract):
   8  cross-adjacent pair of pairs: identify the sides that must go together
   9  a vertex of degree one joins the cover (a safe free choice)
  10  empty graph -> 1; expand the cover through the recovery map
- 11  build the forcing digraph (edge x->y when x is adjacent to y's partner)
- 12  follow a cycle and its mirror: overlapping -> 0, disjoint -> contract
+ 11  walk the forcing digraph (edge x->y when x is adjacent to y's partner)
+     from the lowest id along lowest successors until a vertex repeats
+ 12  take the walk's cycle and its mirror: overlapping -> 0, disjoint ->
+     contract
 
 ``maxdef`` is the single dispatcher: it tries steps 3..9 in order, ends
 the run on a blocked pair (3, 5), and after every action checks that the
@@ -173,8 +175,10 @@ class MatchedState:
         return len(self.neg) // 2
 
     def check_invariants(self) -> None:
-        """Structural sanity of the matched form; cheap, and raises
-        AssertionError on a violation even under ``python -O``."""
+        """Structural sanity of the matched form; raises AssertionError on
+        a violation even under ``python -O``.  Not cheap: every call rebuilds
+        whole-state sets, so it is linear in the live state, and a validated
+        run, which calls it after every action, is quadratic in the pairs."""
         keys = list(self.neg)
         _check(keys == sorted(keys), "live ids out of ascending order")
         live = set(keys)
@@ -210,9 +214,13 @@ class MatchedState:
 
 
 class ForcingGraph(NamedTuple):
-    """Digraph of forced cover decisions: x -> y present exactly when x is
-    negatively adjacent to y's partner, so covering x forces covering y.
-    Edges mirror: x -> y exists iff partner(y) -> partner(x) does."""
+    """The walked part of the digraph of forced cover decisions, where
+    x -> y is present exactly when x is negatively adjacent to y's partner,
+    so covering x forces covering y; edges mirror: x -> y exists iff
+    partner(y) -> partner(x) does.  ``out_adj`` maps each vertex the walk
+    visited, in walk order, to its successors in ascending order; the walk
+    moves to the first of them, so it closes a cycle at the last vertex's
+    first successor."""
 
     out_adj: dict[int, tuple[int, ...]]
 
@@ -565,49 +573,44 @@ def _identify(
 
 
 def build_forcing_graph(st: MatchedState) -> ForcingGraph:
-    """Forcing digraph of the current graph: x -> partner(w) for every
-    negative edge x~w, recorded as the step-11 trace entry.  Only valid
-    once steps 3..9 have all declined, which guarantees a simple, loop-free
-    graph of minimum degree 2 with at most one negative edge between any
-    two pairs."""
+    """Walk the forcing digraph of the current graph (x -> partner(w) for
+    every negative edge x~w) from the lowest live id, always to the lowest
+    successor, until a vertex repeats, and record the step-11 entry with
+    the whole digraph's size.  Only valid once steps 3..9 have all
+    declined, which guarantees a simple, loop-free graph of minimum degree
+    2 with at most one negative edge between any two pairs: no loop is
+    left (steps 5-6), no side is pendant (step 9), and no vertex sees two
+    sides of one pair, nor two pairs cross (steps 7-8).  So only the
+    visited vertices are checked."""
     _check(bool(st.neg), "forcing graph of an empty graph")
     out: dict[int, tuple[int, ...]] = {}
-    for x, nbrs in st.neg.items():
+    x = next(iter(st.neg))
+    while x not in out:
+        nbrs = st.neg[x]
         _check(x not in nbrs, "loop survived to the forcing stage")
         _check(bool(nbrs), "degree-one vertex survived to the forcing stage")
         seen_pairs = {nb >> 1 for nb in nbrs}
         _check(len(seen_pairs) == len(nbrs), "two negative edges between pairs")
+        for nb in nbrs:
+            _check(x in st.neg[nb], "forcing edges must mirror")
         out[x] = tuple(sorted(nb ^ 1 for nb in nbrs))
-    for x, succs in out.items():
-        for y in succs:
-            _check(x ^ 1 in out[y ^ 1], "forcing edges must mirror")
+        x = out[x][0]
     if st.validate:
         st.checks += 1
-    edges = sum(len(succs) for succs in out.values())
-    detail = f"built the forcing graph on {len(out)} vertices with {edges} edges"
+    edges = sum(map(len, st.neg.values()))
+    detail = f"built the forcing graph on {len(st.neg)} vertices with {edges} edges"
     st.trace.append(TraceEntry(step=11, detail=detail))
     return ForcingGraph(out_adj=out)
 
 
-def _walk_cycle(fg: ForcingGraph) -> list[int]:
-    """Deterministic cycle: walk lowest-id successors from the lowest vertex
-    until a repeat; the cycle is the repeated suffix."""
-    start = min(fg.out_adj)
-    position: dict[int, int] = {}
-    path: list[int] = []
-    v = start
-    while v not in position:
-        position[v] = len(path)
-        path.append(v)
-        v = fg.out_adj[v][0]
-    return path[position[v] :]
-
-
 def step12_contract(st: MatchedState, fg: ForcingGraph) -> bool:
-    """Find a forced cycle and its mirror.  When they overlap, no cover
-    exists (returns False).  Otherwise contract each to a single vertex;
-    the survivor pair belongs to the lowest pair index on the cycle."""
-    cycle = _walk_cycle(fg)
+    """Take the forced cycle that closes the walk -- the walk's suffix from
+    its last vertex's lowest successor -- and its mirror.  When they
+    overlap, no cover exists (returns False).  Otherwise contract each to
+    a single vertex; the survivor pair belongs to the lowest pair index on
+    the cycle."""
+    walk = list(fg.out_adj)
+    cycle = walk[walk.index(fg.out_adj[walk[-1]][0]) :]
     pairs = [x >> 1 for x in cycle]
     if len(set(pairs)) < len(cycle):
         st.trace.append(

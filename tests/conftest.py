@@ -72,6 +72,42 @@ def planted(pairs: int, seed: int) -> SignedGraph:
     return generate_matched(pairs, 0.0, 0, negative_edges=edges)
 
 
+def _gadget_edges(first: int, copies: int) -> list[tuple[str, str]]:
+    """Negative edges of ``copies`` 4-pair gadgets on the pairs from
+    ``first`` on (1-based)."""
+    edges = []
+    for base in range(first - 1, first - 1 + 4 * copies, 4):
+        a1, b1, a2, b2, a3, b3, a4, b4 = (
+            f"{side}{base + i}" for i in range(1, 5) for side in "ab"
+        )
+        edges += [(a1, b2), (b1, b3), (b1, a4), (a2, a3), (b3, b4)]
+    return edges
+
+
+def gadget_copies(k: int) -> SignedGraph:
+    """k disjoint copies of a 4-pair gadget on which each round runs steps
+    11, 12, 8 and 9 and removes one copy."""
+    return generate_matched(4 * k, 0.0, 0, negative_edges=_gadget_edges(1, k))
+
+
+def tail_family(length: int, copies: int, seed: int) -> SignedGraph:
+    """A negative chain on the lowest pairs ahead of ``copies`` gadgets, so
+    every forcing walk starts on the chain and its cycle lies past the
+    walk's first vertex.  The tail pairs ta_i/tb_i, i = 0..length, are
+    pairs 1..length+1, joined by ta_i~tb_{i+1}; each gadget copy c is
+    joined by ta_length~b2_c and tb_0~b1_c.  The answer is 1 and the tail
+    survives every round.  The seed only shuffles the order in which the
+    negative edges are listed."""
+    ta = [f"a{i + 1}" for i in range(length + 1)]
+    tb = [f"b{i + 1}" for i in range(length + 1)]
+    edges = [(ta[i], tb[i + 1]) for i in range(length)]
+    for base in range(length + 1, length + 1 + 4 * copies, 4):
+        edges += [(ta[length], f"b{base + 2}"), (tb[0], f"b{base + 1}")]
+    edges += _gadget_edges(length + 2, copies)
+    random.Random(seed).shuffle(edges)
+    return generate_matched(length + 1 + 4 * copies, 0.0, 0, negative_edges=edges)
+
+
 def neg(edges):
     return [(a, b, "-") for a, b in edges]
 

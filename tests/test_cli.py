@@ -241,7 +241,9 @@ class TestCrosscheck:
         assert isinstance(report["elapsed_ms"], float) and report["elapsed_ms"] >= 0.0
         assert "parse_ms" in report and report["parse_ms"] is None
 
-    @pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--max-pairs", "0")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--count", "-3"), ("--max-pairs", "0"), ("--max-pairs", "21")]
+    )
     def test_nonsense_counts_exit_2(self, capsys, flag, value):
         code, out, err = run(capsys, ["crosscheck", flag, value, "--seed", "1"])
         assert code == 2

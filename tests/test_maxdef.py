@@ -3,6 +3,10 @@ rule steps, the forcing graph, and whole runs against the oracle."""
 
 from __future__ import annotations
 
+import gc
+import math
+import time
+
 import pytest
 
 from sigdef import (
@@ -34,7 +38,13 @@ from sigdef.maxdef import (
     step12_contract,
 )
 
-from conftest import WORKED_COVER, WORKED_NEGATIVE, planted
+from conftest import (
+    WORKED_COVER,
+    WORKED_NEGATIVE,
+    gadget_copies,
+    planted,
+    tail_family,
+)
 
 
 def flat(g) -> MatchedState:
@@ -293,24 +303,30 @@ class TestStep9:
         assert not step9_pendant(st)
 
 
+def _forcing_state(worked_example) -> MatchedState:
+    """The worked example once steps 8 and 9 have fired and the ladder
+    declines: five pairs, a1..b5, with fourteen forcing edges."""
+    st = flat(worked_example)
+    step8_merge(st)
+    step9_pendant(st)
+    return st
+
+
 class TestForcingGraph:
     def test_worked_example_fourteen_edges(self, worked_example):
-        st = flat(worked_example)
-        step8_merge(st)
-        step9_pendant(st)
+        st = _forcing_state(worked_example)
+        all_edges = {(x, y) for x, succs in _forcing_edges_tolerant(st) for y in succs}
+        assert len(all_edges) == 14
         fg = build_forcing_graph(st)
-        edges = {(x, y) for x, succs in fg.out_adj.items() for y in succs}
-        assert len(edges) == 14
-        name = {x: side_name(x) for x in fg.out_adj}
-        named = {(name[x], name[y]) for x, y in edges}
-        assert named == {
-            ("a1", "b2"), ("a2", "b1"),
-            ("b4", "a1"), ("b1", "a4"),
-            ("b2", "a3"), ("b3", "a2"),
-            ("a2", "a5"), ("b5", "b2"),
-            ("b2", "a4"), ("b4", "a2"),
-            ("a3", "b4"), ("a4", "b3"),
-            ("b4", "b5"), ("a5", "a4"),
+        assert [side_name(x) for x in fg.out_adj] == ["a1", "b2", "a3", "b4"]
+        assert st.trace[-1] == TraceEntry(
+            step=11, detail="built the forcing graph on 10 vertices with 14 edges"
+        )
+        walked = {(x, y) for x, succs in fg.out_adj.items() for y in succs}
+        assert walked <= all_edges
+        assert {(side_name(x), side_name(y)) for x, y in walked} == {
+            ("a1", "b2"), ("b2", "a3"), ("b2", "a4"), ("a3", "b4"),
+            ("b4", "a1"), ("b4", "a2"), ("b4", "b5"),
         }
 
     def test_single_cross_edge(self):
@@ -320,21 +336,32 @@ class TestForcingGraph:
                     for x, succs in _forcing_edges_tolerant(st) for y in succs}
         assert fg_pairs == {("a1", "b2"), ("a2", "b1")}
 
-    def test_mirror_symmetry(self):
-        for seed in range(20):
-            g = generate_matched(4, 0.35, seed)
-            st = flatten(g)
-            assert isinstance(st, MatchedState)
-            if any(st.has_loop(x) or not st.neg[x] for x in st.neg):
-                continue
-            if any(
-                len({nb >> 1 for nb in st.neg[x]}) != len(st.neg[x]) for x in st.neg
-            ):
-                continue
-            fg = build_forcing_graph(st)
-            for x, succs in fg.out_adj.items():
-                for y in succs:
-                    assert (x ^ 1) in fg.out_adj[y ^ 1]
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda neg: neg[0].add(0), "loop survived"),
+            (lambda neg: neg[0].clear(), "degree-one vertex survived"),
+            # a1 already sees a2; a symmetric edge to b2 is a second one
+            (lambda neg: (neg[0].add(3), neg[3].add(0)), "two negative edges"),
+            # a1~b5 recorded on a1's side only
+            (lambda neg: neg[0].add(9), "forcing edges must mirror"),
+        ],
+        ids=["loop", "emptied", "second-edge-to-pair", "one-sided-edge"],
+    )
+    def test_corrupt_walked_vertex_rejected(self, worked_example, corrupt, message):
+        st = _forcing_state(worked_example)
+        corrupt(st.neg)
+        with pytest.raises(AssertionError, match=message):
+            build_forcing_graph(st)
+
+    def test_vertex_off_the_walk_never_visited(self, worked_example):
+        # a loop on a5, which the walk a1, b2, a3, b4 never reaches, goes
+        # unseen; steps 5-6 guarantee there is none when the walk runs
+        st = _forcing_state(worked_example)
+        st.neg[8].add(8)
+        fg = build_forcing_graph(st)
+        assert 8 not in fg.out_adj
+        assert [side_name(x) for x in fg.out_adj] == ["a1", "b2", "a3", "b4"]
 
 
 def _forcing_edges_tolerant(st):
@@ -345,9 +372,7 @@ def _forcing_edges_tolerant(st):
 
 class TestStep12:
     def test_worked_example_contraction(self, worked_example):
-        st = flat(worked_example)
-        step8_merge(st)
-        step9_pendant(st)
+        st = _forcing_state(worked_example)
         fg = build_forcing_graph(st)
         assert step12_contract(st, fg)
         assert live_pairs(st) == [0, 4]
@@ -607,18 +632,6 @@ class TestChecksSurviveOptimize:
         assert proc.stdout == "False 0 negative edge inside a matched pair\n"
 
 
-def gadget_copies(k: int):
-    """k disjoint copies of a 4-pair gadget on which each round runs steps
-    11, 12, 8 and 9 and removes one copy."""
-    edges = []
-    for base in range(0, 4 * k, 4):
-        a1, b1, a2, b2, a3, b3, a4, b4 = (
-            f"{side}{base + i}" for i in range(1, 5) for side in "ab"
-        )
-        edges += [(a1, b2), (b1, b3), (b1, a4), (a2, a3), (b3, b4)]
-    return generate_matched(4 * k, 0.0, 0, negative_edges=edges)
-
-
 class TestGadgetFamily:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_agrees_with_oracle_one_copy_per_round(self, k):
@@ -631,6 +644,64 @@ class TestGadgetFamily:
     def test_hundred_copies(self):
         result = maxdef(gadget_copies(100), assume_chromatic_3=True, validate=True)
         assert result.value == 1
+
+    def test_four_thousand_pairs_under_half_a_second(self):
+        # Every round walks the forcing digraph; rebuilding all of it each
+        # round made this run take seconds.  Best of 3 in this process's
+        # CPU time with the cyclic collector paused, as the planted gate in
+        # test_acceptance.py times it.
+        g = gadget_copies(1000)
+        best = math.inf
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.process_time_ns()
+                result = maxdef(g, assume_chromatic_3=True)
+                elapsed = (time.process_time_ns() - started) / 1e9
+            finally:
+                gc.enable()
+            assert result.value == 1
+            best = min(best, elapsed)
+        assert best < 0.5, f"4000 gadget pairs took {best:.3f}s"
+
+
+class TestTailFamily:
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_cycle_lies_past_the_walk_start(self, monkeypatch, length):
+        import sys
+
+        module = sys.modules["sigdef.maxdef"]
+        rounds = []
+
+        def recording_build(st):
+            fg = build_forcing_graph(st)
+            rounds.append([side_name(x) for x in fg.out_adj])
+            return fg
+
+        def recording_step12(st, fg):
+            contracted = step12_contract(st, fg)
+            detail = st.trace[-1].detail
+            through = detail.split(" through ", 1)[1].split(" and its mirror")[0]
+            rounds[-1] = (rounds[-1], through.split(", "))
+            return contracted
+
+        monkeypatch.setattr(module, "build_forcing_graph", recording_build)
+        monkeypatch.setattr(module, "step12_contract", recording_step12)
+        g = tail_family(length, length, seed=length)
+        result = maxdef(g, assume_chromatic_3=True, validate=True)
+        assert result.value == 1
+        assert stable_positive_cover(g) is not None
+        assert len(rounds) == length
+        for walk, cycle in rounds:
+            assert walk[0] == "a1"
+            assert "a1" not in cycle
+            assert walk[-len(cycle):] == cycle
+
+    def test_edge_order_leaves_the_trace_alone(self):
+        traces = {maxdef(tail_family(3, 2, seed), assume_chromatic_3=True).trace
+                  for seed in range(4)}
+        assert len(traces) == 1
 
 
 class TestOneEntryPerOutcome:

@@ -1,9 +1,9 @@
 """Property tests over random signed graphs.
 
 Quantified invariants: adjacency symmetry, switching as an involution,
-properness traveling with switching, stable-cover witnesses, mirror symmetry
-of the forcing graph, chromatic invariance under switching, the agreement of
-the maximum-deficiency routes, and the deficiency bound.
+properness traveling with switching, stable-cover witnesses, chromatic
+invariance under switching, the agreement of the maximum-deficiency routes,
+and the deficiency bound.
 """
 
 from __future__ import annotations
