@@ -36,11 +36,13 @@ set iteration order, so neighbor sets can be mutated freely.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
-working state keeps its live ids in ascending order, and keeps candidate
-sets for steps 5-9 (see ``MatchedState``): the set of looped ids, and one
-min-heap each for steps 7, 8 and 9.  Those rules read their lowest
-candidate from these instead of scanning every live id on every pass; the
-lowest qualifying id still acts.
+working state keeps its live ids in ascending order, and keeps one lazy
+min-heap of candidate ids per rule for steps 3-9 (see ``MatchedState``).
+Steps 3 and 4 start with empty heaps, since nothing is forbidden after
+flattening; steps 5 and 6 start with the looped ids; steps 7-9 start with
+every live id.  Every rule reads its lowest candidate from its heap
+instead of scanning the state on every pass; the lowest qualifying id
+still acts.
 """
 
 from __future__ import annotations
@@ -120,31 +122,35 @@ class MatchedState:
     rule reads the iteration order of a neighbor set.
 
     ``__init__`` takes the flattened graph and starts the cover, forbidden
-    and dropped sets and the trace empty.  It builds the candidate sets for
-    steps 5-9 from ``neg``.  From then on only ``_delete_pair`` and
-    ``_identify`` change the graph, and they keep these current:
+    and dropped sets and the trace empty.  ``queues[k]`` for k = 3..9 is a
+    min-heap of ids holding every live id that passes step k's test
+    (``_QUEUE_TESTS``), and possibly stale ids.  Nothing is forbidden yet,
+    so the heaps of steps 3 and 4 start empty; those of steps 5 and 6
+    start with the looped ids, and those of steps 7-9 with every live id
+    (an ascending list is already a valid heap).  A rule pops the ids at
+    the top that fail its test and acts on the first that passes, so the
+    lowest qualifying id acts.
 
-    * ``loops`` is exactly the set of live ids with a loop.  ``_identify``
-      runs only while it is empty, and adds each survivor that gains a
-      loop; ``_delete_pair`` discards the ids it removes.
-    * ``queues[k]`` for k = 7, 8, 9 is a min-heap of ids holding every live
-      id that passes step k's test (``_QUEUE_TESTS``), and possibly stale
-      ids.  The ascending key list is already a valid heap, so each starts
-      as a copy of it.  A rule pops the ids at the top that fail its test
-      and acts on the first that passes, so the lowest qualifying id acts.
-      A popped id stays popped because its test can only become true
-      through an event that pushes it again.  The tests of steps 7 and 8
-      become true only when an edge is added to x (step 7) or to x or its
-      partner (step 8); only ``_identify`` adds edges, and it pushes both
-      ends and their partners.  Step 9's test becomes true only when x's
-      neighbor set empties, which happens only in the two routines'
-      discards, and they push the emptied id.  Forbidden ids fail step 9's
-      test, and stay forbidden until their pair is deleted.
+    A popped id stays popped because its test can only become true through
+    an event that pushes it again.  A forbidden id stays forbidden until its
+    pair is deleted, and a loop appears only in ``_identify``, which runs
+    only while nothing is forbidden or looped.  So the tests of steps 3 and
+    4 become true only when an id is forbidden, and ``_forbid`` pushes it
+    for both and its partner for step 3 (a pair can become blocked through
+    either side); those of steps 5 and 6 become true only when a survivor of
+    ``_identify`` gains a loop, and it pushes each such survivor for both
+    (no loop exists before the call, so both sides of a doubly looped pair
+    gained theirs in it).  The tests of steps 7 and 8 become true only when
+    an edge is added to x (step 7) or to x or its partner (step 8); only
+    ``_identify`` adds edges, and it pushes both ends and their partners.
+    Step 9's test becomes true only when x's neighbor set empties, which
+    happens only in the discards of ``_delete_pair`` and ``_identify``, and
+    they push the emptied id.  Forbidden ids fail step 9's test.
     """
 
     __slots__ = (
         "source", "neg", "recovery", "kept_originals", "cover_ids", "forbidden",
-        "dropped", "trace", "validate", "checks", "loops", "queues",
+        "dropped", "trace", "validate", "checks", "queues",
     )
 
     def __init__(
@@ -165,8 +171,9 @@ class MatchedState:
         self.trace: list[TraceEntry] = []
         self.validate = validate
         self.checks = 0
-        self.loops = {x for x, nbrs in neg.items() if x in nbrs}
-        self.queues = {step: list(neg) for step in _QUEUE_TESTS}
+        looped = [x for x, nbrs in neg.items() if x in nbrs]
+        self.queues = {3: [], 4: [], 5: looped, 6: list(looped)}
+        self.queues.update((step, list(neg)) for step in (7, 8, 9))
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
@@ -203,9 +210,6 @@ class MatchedState:
         _check(union.isdisjoint(settled), "recovered vertex already settled")
         _check(self.cover_ids.isdisjoint(self.dropped), "vertex covered and dropped")
         _check(union | settled == self.kept_originals, "kept vertex lost")
-        _check(
-            self.loops == {x for x in keys if x in self.neg[x]}, "loop set out of sync"
-        )
         for step, test in _QUEUE_TESTS.items():
             queued = set(self.queues[step])
             lost = [x for x in keys if x not in queued and test(self, x)]
@@ -314,7 +318,8 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
             TraceEntry(
                 step=2,
                 detail=f"collapsed {len(kept)} vertices into "
-                f"{state.pair_count()} matched pairs ({len(state.loops)} with loops)",
+                f"{state.pair_count()} matched pairs "
+                f"({sum(x in nbrs for x, nbrs in neg.items())} with loops)",
             )
         )
     if validate:
@@ -340,7 +345,6 @@ def _delete_pair(st: MatchedState, p: int) -> None:
                 _discard_edge(st, nb, x)
         st.recovery.pop(x)
         st.forbidden.discard(x)
-        st.loops.discard(x)
 
 
 def _discard_edge(st: MatchedState, w: int, dead: int) -> None:
@@ -359,7 +363,7 @@ def _commit(st: MatchedState, keep: int, step: int, detail: str) -> None:
     newly_forbidden = sorted(st.neg[keep] - st.forbidden - {keep, drop})
     st.cover_ids |= st.recovery[keep]
     st.dropped |= st.recovery[drop]
-    st.forbidden |= set(newly_forbidden)
+    _forbid(st, newly_forbidden)
     covered = st.source.labels_of(st.recovery[keep])
     _delete_pair(st, keep >> 1)
     st.trace.append(
@@ -373,66 +377,31 @@ def _commit(st: MatchedState, keep: int, step: int, detail: str) -> None:
     )
 
 
-def step3_check(st: MatchedState) -> int | None:
-    """Lowest pair whose two sides are both unusable for the cover, where a
-    side is unusable when forbidden or looped and at least one side is
-    forbidden.  Such a pair ends the run with value 0; its trace entry is
-    recorded here.  (Pairs blocked by loops alone belong to the loop
-    checks, steps 5 and 6.)"""
-    for p in sorted({x >> 1 for x in st.forbidden}):
-        x, y = 2 * p, 2 * p + 1
-        if (x in st.forbidden or st.has_loop(x)) and (
-            y in st.forbidden or st.has_loop(y)
-        ):
-            detail = (
-                f"both sides of pair {p + 1} are unusable (forbidden or "
-                "looped): no stable cover exists"
-            )
-            st.trace.append(TraceEntry(step=3, detail=detail))
-            return p
-    return None
+def _forbid(st: MatchedState, ids: list[int]) -> None:
+    """Forbid the live ``ids``: queue each for steps 3 and 4, and its
+    partner for step 3 too, since a pair can become blocked through either
+    side."""
+    st.forbidden.update(ids)
+    for x in ids:
+        heappush(st.queues[3], x)
+        heappush(st.queues[3], x ^ 1)
+        heappush(st.queues[4], x)
 
 
-def step4_resolve(st: MatchedState) -> bool:
-    """For the lowest forbidden id, commit the partner."""
-    if not st.forbidden:
-        return False
-    x = min(st.forbidden)
-    _commit(
-        st,
-        x ^ 1,
-        step=4,
-        detail=f"{side_name(x)} is forbidden, so "
-        f"{side_name(x ^ 1)} must join the cover",
-    )
-    return True
+def _both_unusable(st: MatchedState, x: int) -> bool:
+    """Step 3's test: x is forbidden, and its partner is forbidden or
+    looped."""
+    return x in st.forbidden and (x ^ 1 in st.forbidden or st.has_loop(x ^ 1))
 
 
-def step5_check(st: MatchedState) -> int | None:
-    """Lowest pair with loops on both sides; ends the run with value 0, and
-    its trace entry is recorded here."""
-    both = [x for x in st.loops if st.has_loop(x ^ 1)]
-    if not both:
-        return None
-    p = min(both) >> 1
-    detail = f"both sides of pair {p + 1} carry loops: no stable cover exists"
-    st.trace.append(TraceEntry(step=5, detail=detail))
-    return p
+def _is_forbidden(st: MatchedState, x: int) -> bool:
+    """Step 4's test: x is forbidden."""
+    return x in st.forbidden
 
 
-def step6_resolve(st: MatchedState) -> bool:
-    """For the lowest id with a loop, commit the partner."""
-    if not st.loops:
-        return False
-    x = min(st.loops)
-    _commit(
-        st,
-        x ^ 1,
-        step=6,
-        detail=f"{side_name(x)} has a loop, so "
-        f"{side_name(x ^ 1)} must join the cover",
-    )
-    return True
+def _both_looped(st: MatchedState, x: int) -> bool:
+    """Step 5's test: x and its partner both carry loops."""
+    return st.has_loop(x) and st.has_loop(x ^ 1)
 
 
 def _whole_pairs_seen(st: MatchedState, x: int) -> list[int]:
@@ -455,8 +424,11 @@ def _is_pendant(st: MatchedState, x: int) -> bool:
     return not st.neg[x] and x not in st.forbidden
 
 
-# The rules that read a candidate queue (see MatchedState), by step.
-_QUEUE_TESTS = {7: _whole_pairs_seen, 8: _cross_forced, 9: _is_pendant}
+# Each rule's candidate test (see MatchedState), by step.
+_QUEUE_TESTS = {
+    3: _both_unusable, 4: _is_forbidden, 5: _both_looped, 6: MatchedState.has_loop,
+    7: _whole_pairs_seen, 8: _cross_forced, 9: _is_pendant,
+}
 
 
 def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] | None:
@@ -471,6 +443,55 @@ def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] 
                 return x, found
         heappop(queue)
     return None
+
+
+def _blocked_pair(st: MatchedState, step: int, why: str) -> int | None:
+    """Shared body of steps 3 and 5: the pair of the lowest id that passes
+    the step's test, recorded as blocking the run."""
+    hit = _lowest_queued(st, step)
+    if hit is None:
+        return None
+    p = hit[0] >> 1
+    detail = f"both sides of pair {p + 1} {why}: no stable cover exists"
+    st.trace.append(TraceEntry(step=step, detail=detail))
+    return p
+
+
+def _commit_partner(st: MatchedState, step: int, why: str) -> bool:
+    """Shared body of steps 4 and 6: commit the partner of the lowest id
+    that passes the step's test."""
+    hit = _lowest_queued(st, step)
+    if hit is None:
+        return False
+    x = hit[0]
+    detail = f"{side_name(x)} {why}, so {side_name(x ^ 1)} must join the cover"
+    _commit(st, x ^ 1, step=step, detail=detail)
+    return True
+
+
+def step3_check(st: MatchedState) -> int | None:
+    """Lowest pair whose two sides are both unusable for the cover, where a
+    side is unusable when forbidden or looped and at least one side is
+    forbidden.  Such a pair ends the run with value 0; its trace entry is
+    recorded here.  (Pairs blocked by loops alone belong to the loop
+    checks, steps 5 and 6.)"""
+    return _blocked_pair(st, 3, "are unusable (forbidden or looped)")
+
+
+def step4_resolve(st: MatchedState) -> bool:
+    """For the lowest forbidden id, commit the partner."""
+    return _commit_partner(st, 4, "is forbidden")
+
+
+def step5_check(st: MatchedState) -> int | None:
+    """Lowest pair with loops on both sides; ends the run with value 0, and
+    its trace entry is recorded here."""
+    return _blocked_pair(st, 5, "carry loops")
+
+
+def step6_resolve(st: MatchedState) -> bool:
+    """For the lowest id with a loop, commit the partner."""
+    return _commit_partner(st, 6, "has a loop")
 
 
 def step7_resolve(st: MatchedState) -> bool:
@@ -538,12 +559,13 @@ def _identify(
     and record the step's entry: one merge group per survivor, the
     survivor first, then its absorbed ids in mapping order.  Only runs
     while no id is forbidden or looped, so absorbed ids carry no loop.
-    Keeps the candidate sets current: a survivor that gains a loop joins
-    ``loops``; both ends of every moved edge are queued for steps 7 and 8,
-    and their partners for step 8 (a spare entry costs the lazy heap a
-    pop)."""
+    Keeps the candidate queues current: a survivor that gains a loop is
+    queued for steps 5 and 6 (no id has a loop on entry, so every looped id
+    on exit is such a survivor); both ends of every moved edge are queued
+    for steps 7 and 8, and their partners for step 8 (a spare entry costs
+    the lazy heap a pop)."""
     _check(
-        not st.forbidden and not st.loops,
+        not st.forbidden and _lowest_queued(st, 6) is None,
         "identifications only happen with nothing forbidden or looped",
     )
     grown: set[int] = set()
@@ -557,7 +579,10 @@ def _identify(
             grown.update((rep, mw))
         st.recovery[rep] |= st.recovery.pop(dead)
         groups.setdefault(rep, [rep]).append(dead)
-    st.loops.update(x for x in groups if st.has_loop(x))
+    for x in groups:
+        if st.has_loop(x):
+            heappush(st.queues[5], x)
+            heappush(st.queues[6], x)
     for x in grown:
         heappush(st.queues[7], x)
         heappush(st.queues[8], x)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import random
+import time
 
 import pytest
 
@@ -106,6 +109,49 @@ def tail_family(length: int, copies: int, seed: int) -> SignedGraph:
     edges += _gadget_edges(length + 2, copies)
     random.Random(seed).shuffle(edges)
     return generate_matched(length + 1 + 4 * copies, 0.0, 0, negative_edges=edges)
+
+
+def forbid_star(n: int, blocked: bool = False) -> SignedGraph:
+    """n matched pairs where a1 sees both sides of pair 2, so step 7 commits
+    b1 and forbids its neighbors a3..an at once; step 4 then commits their
+    partners one by one.  With ``blocked``, b1 also sees b3, so both sides
+    of pair 3 are forbidden and the run ends at step 3 with value 0."""
+    edges = [("a1", "a2"), ("a1", "b2")] + [("b1", f"a{i}") for i in range(3, n + 1)]
+    if blocked:
+        edges.append(("b1", "b3"))
+    return generate_matched(n, 0.0, 0, negative_edges=edges)
+
+
+def loop_family(n: int, both: bool = False) -> SignedGraph:
+    """n disjoint positive paths u_i-v_i-w_i with the negative edge u_i~w_i,
+    which flatten to n pairs with a loop on one side each; step 6 commits
+    them one by one.  With ``both``, the last path grows w_n-x_n (+) and
+    v_n~x_n (-), so its pair carries loops on both sides and the run ends at
+    step 5 with value 0."""
+    edges = []
+    for i in range(1, n + 1):
+        u, v, w = f"u{i}", f"v{i}", f"w{i}"
+        edges += [(u, v, "+"), (v, w, "+"), (u, w, "-")]
+    if both:
+        edges += [(f"w{n}", f"x{n}", "+"), (f"v{n}", f"x{n}", "-")]
+    return build_graph(edges)
+
+
+def best_cpu_seconds(run, rounds: int = 3) -> float:
+    """Fastest of ``rounds`` calls of ``run()`` in this process's CPU time,
+    with the cyclic garbage collector paused during each call."""
+    best = math.inf
+    for _ in range(rounds):
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.process_time_ns()
+            run()
+            elapsed = (time.process_time_ns() - started) / 1e9
+        finally:
+            gc.enable()
+        best = min(best, elapsed)
+    return best
 
 
 def neg(edges):
