@@ -211,12 +211,9 @@ def _cmd_crosscheck(args, _: None) -> tuple[dict | None, int]:
     if args.count < 0:
         print("error: --count must be non-negative", file=sys.stderr)
         return None, EXIT_USAGE
-    if args.max_pairs < 1:
-        print("error: --max-pairs must be at least 1", file=sys.stderr)
-        return None, EXIT_USAGE
-    if args.max_pairs > oracle.DEFAULT_PAIR_BOUND:
+    if not 1 <= args.max_pairs <= oracle.DEFAULT_PAIR_BOUND:
         print(
-            f"error: --max-pairs must be at most {oracle.DEFAULT_PAIR_BOUND}",
+            f"error: --max-pairs must lie in 1..{oracle.DEFAULT_PAIR_BOUND}",
             file=sys.stderr,
         )
         return None, EXIT_USAGE

@@ -724,11 +724,7 @@ def maxdef(
         (8, step8_merge),
         (9, step9_pendant),
     )
-    passes = 0
-    max_passes = st.pair_count() + 2
     while True:
-        passes += 1
-        _check(passes <= max_passes, "run failed to shrink the graph")
         before = st.pair_count()
         for step, rule in ladder:
             found = rule(st)

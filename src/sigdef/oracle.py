@@ -14,13 +14,14 @@ and tries colors in canonical scan order, forward checking as it goes: each
 vertex keeps a bitmask domain of the colors its colored neighbors still
 allow, and a choice that empties some domain is not entered.  Such a
 subtree holds no proper coloration, so the colorations met, and their
-order, are those of the plain walk.  With a stop count the search also
-skips every subtree in which each deficiency still reachable has already
-been seen.  When only the largest reachable one is new, it keeps to the
-colors already used: a coloration below that adds a color has a smaller
-deficiency, and each of those has been seen.  Neither cut removes the first
-coloration of a new value, so each reported witness is the one the unpruned
-walk meets first.
+order, are those of the plain walk.  The search ends at a stop count of
+recorded deficiencies and skips every subtree in which each deficiency
+still reachable has already been seen.  When only the largest reachable one
+is new, it keeps to the colors already used: a coloration below that adds a
+color has a smaller deficiency, and each of those has been seen.  Neither
+cut removes the first coloration of a new value, so each reported witness
+is the one the plain walk meets first.  The tests hold the search against
+a plain-backtracking reference that shares none of its code.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _later_neighbors(g: SignedGraph) -> list[list[tuple[int, int]]]:
 def _first_colorations(
     later: list[list[tuple[int, int]]],
     size: int,
-    stop: int | None,
+    stop: int,
 ) -> dict[int, tuple[int, ...]]:
     """First proper coloration of each deficiency over the canonical set of
     ``size`` colors, in the walk order of vertices ascending and colors in
@@ -117,8 +118,7 @@ def _first_colorations(
     no leaf the walk would record, so the leaves visited, and their order,
     are those of the walk without domains.
 
-    With ``stop`` None the walk visits every proper coloration.  With a
-    count it ends once that many deficiencies are recorded, and it prunes
+    The walk ends once ``stop`` deficiencies are recorded, and it prunes
     by what is still reachable: with u colors used and r vertices left, a
     coloration below has deficiency between lo = max(0, size - u - r) and
     hi = size - u.
@@ -128,7 +128,7 @@ def _first_colorations(
     used color left in its domain: a leaf below that uses a new color has
     deficiency below hi, and every such value is recorded.  Neither cut
     removes the first coloration of an unrecorded value, so the result
-    equals the full walk's.
+    equals the plain walk's.
     """
     n = len(later)
     order = canonical_color_order(size)
@@ -137,7 +137,6 @@ def _first_colorations(
     dom = [full] * n
     assign = [0] * n
     found: dict[int, tuple[int, ...]] = {}
-    skip = stop is not None
     seen = 0  # bit d is set once deficiency d is recorded
 
     def extend(v: int, used: int, allowed: int) -> bool:
@@ -152,7 +151,7 @@ def _first_colorations(
             found[d] = tuple(assign)
             seen |= 1 << d
             return len(found) == stop
-        if skip and seen:
+        if seen:
             hi = size - used.bit_count()
             lo = hi - n + v
             if lo < 0:
@@ -197,43 +196,39 @@ def _first_colorations(
 
 
 def _minimal_colorations(
-    g: SignedGraph, bound: int, *, first_only: bool, early_stop: bool = True
+    g: SignedGraph, *, first_only: bool
 ) -> tuple[int, dict[int, tuple[int, ...]]]:
     """The smallest canonical color-set size admitting a proper coloration,
     and what ``_first_colorations`` finds at that size: its first coloration
-    only with ``first_only``, else the first of each deficiency, pruned
-    unless ``early_stop`` is False.  Smaller sizes hold no proper coloration,
-    so the stop count tried there changes nothing.  The vertexless graph
-    gives size 0 and its one empty coloration.  Graphs with more than
-    ``bound`` vertices are refused."""
+    only with ``first_only``, else the first of each deficiency.  Smaller
+    sizes hold no proper coloration, so the stop count tried there changes
+    nothing.  The vertexless graph gives size 0 and its one empty
+    coloration.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are
+    refused."""
     if g.n == 0:
         return 0, {0: ()}
-    if g.n > bound:
+    if g.n > DEFAULT_EXHAUSTIVE_BOUND:
         raise BoundExceededError(
             f"chromatic number needs exhaustive search; {g.n} vertices "
-            f"exceeds the bound of {bound}"
+            f"exceeds the bound of {DEFAULT_EXHAUSTIVE_BOUND}"
         )
     later = _later_neighbors(g)
     for size in range(1, 2 * g.n + 1):
-        if first_only:
-            stop = 1
-        elif early_stop:
-            stop = max_possible_deficiency(size) + 1
-        else:
-            stop = None
+        stop = 1 if first_only else max_possible_deficiency(size) + 1
         found = _first_colorations(later, size, stop)
         if found:
             return size, found
     raise AssertionError("2n distinct positive colors always properly color")
 
 
-def chromatic_number(g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> int:
+def chromatic_number(g: SignedGraph) -> int:
     """Size of the smallest canonical color set admitting a proper coloration.
 
     0 for the vertexless graph.  Each size's walk ends at its first proper
-    coloration.  Graphs with more than ``bound`` vertices are refused.
+    coloration.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are
+    refused.
     """
-    return _minimal_colorations(g, bound, first_only=True)[0]
+    return _minimal_colorations(g, first_only=True)[0]
 
 
 class DeficiencyReport(NamedTuple):
@@ -255,7 +250,7 @@ def max_possible_deficiency(chi: int) -> int:
     return chi // 2
 
 
-def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyReport:
+def deficiency_report(g: SignedGraph) -> DeficiencyReport:
     """Collect the deficiencies achieved by proper colorations over the
     minimal color set, with the first coloration met of each value as its
     witness.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
@@ -264,13 +259,10 @@ def deficiency_report(g: SignedGraph, *, early_stop: bool = True) -> DeficiencyR
     coloration, and the walk at chi gives the report.  The walk skips
     subtrees that cannot yield a deficiency not yet seen and ends once every
     achievable value has appeared.  A skipped subtree holds no first
-    occurrence of any value, so the witnesses are those of the full walk.
-    ``early_stop=False`` visits every proper coloration with nothing
-    skipped; the tests hold both against an independent brute force.
+    occurrence of any value, so the witnesses are those of the plain walk;
+    the tests hold the report against an independent reference.
     """
-    chi, found = _minimal_colorations(
-        g, DEFAULT_EXHAUSTIVE_BOUND, first_only=False, early_stop=early_stop
-    )
+    chi, found = _minimal_colorations(g, first_only=False)
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
     _check(bool(found), "a minimal proper coloration must exist")
@@ -351,41 +343,35 @@ def _cover_subsets(g: SignedGraph) -> frozenset[int] | None:
     return explore(0)
 
 
-def stable_positive_cover(
-    g: SignedGraph,
-    *,
-    vertex_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    pair_bound: int = DEFAULT_PAIR_BOUND,
-) -> frozenset[int] | None:
+def stable_positive_cover(g: SignedGraph) -> frozenset[int] | None:
     """Some stable vertex set covering every positive edge, or None.
 
     Deterministic: the lexicographically least such set by vertex id.  When
     the positive edges form a perfect matching the search runs over
-    one-side-per-pair selections (2^pairs); otherwise over all vertex
-    subsets (2^|V|), each behind its own bound.
+    one-side-per-pair selections (2^pairs, at most ``DEFAULT_PAIR_BOUND``
+    pairs); otherwise over all vertex subsets (2^|V|, at most
+    ``DEFAULT_EXHAUSTIVE_BOUND`` vertices).
     """
     pairs = _positive_perfect_matching(g)
-    if pairs is not None and len(pairs) <= pair_bound:
+    if pairs is not None and len(pairs) <= DEFAULT_PAIR_BOUND:
         return _cover_matched(g, pairs)
-    if g.n <= vertex_bound:
+    if g.n <= DEFAULT_EXHAUSTIVE_BOUND:
         return _cover_subsets(g)
     raise BoundExceededError(
         f"stable-cover search over {g.n} vertices exceeds the bound of "
-        f"{vertex_bound} (and the positive edges are not a small matching)"
+        f"{DEFAULT_EXHAUSTIVE_BOUND} (and the positive edges are not a small "
+        "matching)"
     )
 
 
-def max_deficiency_3chromatic(
-    g: SignedGraph, *, bound: int = DEFAULT_EXHAUSTIVE_BOUND
-) -> int:
+def max_deficiency_3chromatic(g: SignedGraph) -> int:
     """Ground truth for the maximum deficiency of a 3-chromatic graph:
-    1 exactly when a stable cover of the positive edges exists.  ``bound``
-    caps the vertex count of both searches; the cover search over matched
-    pairs is capped at ``DEFAULT_PAIR_BOUND``."""
-    chi = chromatic_number(g, bound=bound)
+    1 exactly when a stable cover of the positive edges exists.  Each
+    search refuses inputs above its own bound."""
+    chi = chromatic_number(g)
     if chi != 3:
         raise NotThreeChromaticError(chi)
-    cover = stable_positive_cover(g, vertex_bound=bound)
+    cover = stable_positive_cover(g)
     return 1 if cover is not None else 0
 
 

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from sigdef import SignedGraph, build_graph, generate_matched
+from sigdef import Coloration, SignedGraph, build_graph, generate_matched
+from sigdef.oracle import DeficiencyReport, canonical_color_order
 
 # 3-chromatic triangle: one positive edge uv, negative edges uw and vw.
 # Two proper colorations over {0, +-1}: (1, -1, 0) with deficiency 0 and
@@ -152,6 +153,48 @@ def best_cpu_seconds(run, rounds: int = 3) -> float:
             gc.enable()
         best = min(best, elapsed)
     return best
+
+
+def reference_report(g: SignedGraph) -> DeficiencyReport:
+    """The full plain walk, as a reference for ``oracle.deficiency_report``
+    that shares none of its search code: for each color-set size from 0 up,
+    color the vertices in ascending order, try colors in canonical scan
+    order, skip the colors that the earlier neighbors' colors ban, and keep
+    the first coloration of each deficiency.  The first size with a proper
+    coloration gives the report.  No domains, trail, bitmasks or pruning,
+    so it visits every proper coloration of that size."""
+    earlier_pos = [[u for u in g.pos_adj[v] if u < v] for v in range(g.n)]
+    earlier_neg = [[u for u in g.neg_adj[v] if u < v] for v in range(g.n)]
+    for size in range(2 * g.n + 1):
+        scan = canonical_color_order(size)
+        colors = [0] * g.n
+        first: dict[int, Coloration] = {}
+
+        def walk(v: int) -> None:
+            if v == g.n:
+                d = size - len(set(colors))
+                if d not in first:
+                    first[d] = Coloration(tuple(colors), size // 2, bool(size % 2))
+                return
+            banned = {colors[u] for u in earlier_pos[v]}
+            banned.update(-colors[u] for u in earlier_neg[v])
+            for c in scan:
+                if c not in banned:
+                    colors[v] = c
+                    walk(v + 1)
+
+        walk(0)
+        if first:
+            return DeficiencyReport(
+                chi=size,
+                range=frozenset(first),
+                max_deficiency=max(first),
+                min_deficiency=min(first),
+                witness_max=first[max(first)],
+                witness_min=first[min(first)],
+                per_deficiency=first,
+            )
+    raise AssertionError("2n distinct positive colors always properly color")
 
 
 def neg(edges):

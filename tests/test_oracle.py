@@ -3,9 +3,7 @@ covers, switching ranges, and the constructive deficiency achiever."""
 
 from __future__ import annotations
 
-import gc
 import itertools
-import time
 
 import pytest
 
@@ -28,16 +26,22 @@ from sigdef import (
     switch,
     switching_report,
 )
-from sigdef.oracle import canonical_color_order
+from sigdef.oracle import (
+    _cover_matched,
+    _cover_subsets,
+    _positive_perfect_matching,
+    canonical_color_order,
+)
 
-from conftest import WORKED_COVER
+from conftest import WORKED_COVER, best_cpu_seconds, reference_report
 
 
 def _brute_force_report(g):
-    """Tests-only reference, sharing no search code with the oracle: the
-    smallest canonical set size with a proper coloration, and the first
-    coloration of each deficiency in ``itertools.product`` order (vertex 0
-    most significant, colors in canonical scan order)."""
+    """Tests-only reference, sharing no search code with the oracle or with
+    ``reference_report``: the smallest canonical set size with a proper
+    coloration, and the first coloration of each deficiency in
+    ``itertools.product`` order (vertex 0 most significant, colors in
+    canonical scan order)."""
     for size in range(2 * g.n + 1):
         k, uses_zero = size // 2, bool(size % 2)
         first = {}
@@ -61,8 +65,15 @@ class TestChromaticNumber:
 
     def test_worked_example(self, worked_example):
         # despite appearances this graph is antibalanced: coloring each of
-        # a1 a2 a3 a4 b5 b6 a7 with 1 and the rest with -1 is proper
-        assert chromatic_number(worked_example, bound=14) == 2
+        # a1 a2 a3 a4 b5 b6 a7 with 1 and the rest with -1 is proper.  Any
+        # edge rules out the one-color set {0}, so the graph is 2-chromatic.
+        # At 14 vertices it lies above the oracle's bound, so the test
+        # checks the coloring itself.
+        ones = {"a1", "a2", "a3", "a4", "b5", "b6", "a7"}
+        mapping = {x: 1 if x in ones else -1 for x in worked_example.labels}
+        kappa = Coloration.from_labels(worked_example, mapping, k=1)
+        assert is_proper(worked_example, kappa)
+        assert worked_example.positive_edge_count > 0
 
     def test_empty_and_edgeless(self):
         assert chromatic_number(build_graph([])) == 0
@@ -73,8 +84,10 @@ class TestChromaticNumber:
         assert chromatic_number(g) == 3
 
     def test_bound_refusal(self, worked_example):
-        with pytest.raises(BoundExceededError):
-            chromatic_number(worked_example, bound=12)
+        with pytest.raises(
+            BoundExceededError, match="14 vertices exceeds the bound of 12"
+        ):
+            chromatic_number(worked_example)
 
 
 class TestDeficiencyReport:
@@ -102,23 +115,22 @@ class TestDeficiencyReport:
             assert deficiency(kap)[0] == d
 
     def test_early_stop_matches_full_enumeration(self):
+        # the walk that stops once every value is seen against the full
+        # plain walk of ``reference_report``
         for seed in range(30):
             g = generate_general(6, 0.5, 0.5, seed, double_prob=0.1)
-            fast = deficiency_report(g, early_stop=True)
-            full = deficiency_report(g, early_stop=False)
-            assert fast.range == full.range
-            assert fast.per_deficiency == full.per_deficiency
+            assert deficiency_report(g) == reference_report(g), seed
 
     def test_pruned_walk_matches_full_walk_at_desk_sizes(self):
         # 10-12 vertices, sparse to dense: chi runs from 3 to 5, so some
         # walks cap the deficiency at 2 and a skipped subtree can span two
-        # values at once.
+        # values at once.  The whole report must equal the reference's.
         chis, maxima = set(), set()
         for seed in range(40):
             n = 10 + seed % 3
             p = (0.3, 0.4, 0.5, 0.6, 0.7)[seed % 5]
             g = generate_general(n, p, 0.5, seed, double_prob=0.1)
-            full = deficiency_report(g, early_stop=False)
+            full = reference_report(g)
             assert deficiency_report(g) == full, seed
             chis.add(full.chi)
             maxima.add(full.max_deficiency)
@@ -127,16 +139,15 @@ class TestDeficiencyReport:
 
     def test_both_walks_match_brute_force(self):
         # Up to 6 vertices, dense and with many doubled edges, so that chi
-        # runs up to 5; both modes must give the brute force's chi, range
-        # and first witness of every value.
+        # runs up to 5; the oracle's walk and the reference walk must both
+        # give the brute force's chi, range and first witness of every value.
         chis = set()
         for seed in range(80):
             n = 2 + seed % 5
             p = (0.5, 0.7, 0.9)[seed % 3]
             g = generate_general(n, p, 0.5, seed, double_prob=0.3)
             chi, first = _brute_force_report(g)
-            for early_stop in (True, False):
-                rep = deficiency_report(g, early_stop=early_stop)
+            for rep in (deficiency_report(g), reference_report(g)):
                 assert rep.chi == chromatic_number(g) == chi, seed
                 assert rep.range == frozenset(first), seed
                 assert dict(rep.per_deficiency) == first, seed
@@ -144,40 +155,27 @@ class TestDeficiencyReport:
         assert {2, 3, 4, 5} <= chis
 
     def test_empty_graph(self):
-        for early_stop in (True, False):
-            rep = deficiency_report(build_graph([]), early_stop=early_stop)
-            assert rep.chi == 0
-            assert rep.range == frozenset({0})
-            assert rep.witness_max == rep.witness_min == Coloration((), 0, False)
+        rep = deficiency_report(build_graph([]))
+        assert rep.chi == 0
+        assert rep.range == frozenset({0})
+        assert rep.witness_max == rep.witness_min == Coloration((), 0, False)
+        assert rep == reference_report(build_graph([]))
 
     def test_pruning_skips_subtrees_with_nothing_new(self):
         # A positive triangle, colored first, then 9 isolated vertices:
         # 6 * 3^9 = 118098 proper colorations, all of deficiency 0.  Once
         # the first is recorded, every subtree below the colored triangle
         # has nothing new to offer.  Timed as process time with the
-        # collector paused; the ratio, not a wall-clock budget, is the test.
+        # collector paused; the ratio to the full plain walk of
+        # ``reference_report``, not a wall-clock budget, is the test.
         g = build_graph(
             [("a", "b", "+"), ("b", "c", "+"), ("a", "c", "+")],
             vertices=["a", "b", "c"] + [f"x{i}" for i in range(9)],
         )
-
-        def cost(early_stop: bool, rounds: int) -> int:
-            best = None
-            for _ in range(rounds):
-                gc.collect()
-                gc.disable()
-                try:
-                    started = time.process_time_ns()
-                    rep = deficiency_report(g, early_stop=early_stop)
-                    elapsed = time.process_time_ns() - started
-                finally:
-                    gc.enable()
-                assert rep.range == frozenset({0})
-                best = elapsed if best is None else min(best, elapsed)
-            return best
-
-        pruned, full = cost(True, 5), cost(False, 1)
-        assert 20 * pruned <= full, (pruned, full)
+        assert deficiency_report(g).range == frozenset({0})
+        pruned = best_cpu_seconds(lambda: deficiency_report(g), rounds=5)
+        full = best_cpu_seconds(lambda: reference_report(g), rounds=1)
+        assert 45 * pruned <= full, (pruned, full)
 
     def test_deterministic_witnesses(self, triangle):
         a = deficiency_report(triangle)
@@ -209,18 +207,19 @@ class TestStablePositiveCover:
 
         for seed in range(25):
             g = generate_matched(5, 0.3, seed)
-            matched = stable_positive_cover(g)
-            subset = stable_positive_cover(g, pair_bound=0, vertex_bound=10)
-            assert (matched is None) == (subset is None)
-            if matched is not None:
-                assert matched == subset
+            matched = _cover_matched(g, _positive_perfect_matching(g))
+            assert stable_positive_cover(g) == matched, seed
+            assert _cover_subsets(g) == matched, seed
 
     def test_bound_refusal(self):
         from sigdef import generate_matched
 
+        # 25 matched pairs: above both the pair bound and the vertex bound
         g = generate_matched(25, 0.1, 3)
-        with pytest.raises(BoundExceededError):
-            stable_positive_cover(g, pair_bound=20, vertex_bound=12)
+        with pytest.raises(
+            BoundExceededError, match="50 vertices exceeds the bound of 12"
+        ):
+            stable_positive_cover(g)
 
 
 class TestMaxDeficiency3Chromatic:
@@ -228,11 +227,13 @@ class TestMaxDeficiency3Chromatic:
         assert max_deficiency_3chromatic(triangle) == 1
 
     def test_worked_example_refused_but_cover_exists(self, worked_example):
-        # the 7-pair fixture is 2-chromatic, so the 3-chromatic oracle
-        # refuses it; a stable cover of its positive edges still exists,
-        # which is what the decision procedure reports
-        with pytest.raises(NotThreeChromaticError):
-            max_deficiency_3chromatic(worked_example, bound=14)
+        # the 7-pair fixture has 14 vertices, above the chromatic-number
+        # bound, so the oracle refuses it (it is 2-chromatic anyway: see
+        # TestChromaticNumber.test_worked_example); a stable cover of its
+        # positive edges still exists, which is what the decision procedure
+        # reports
+        with pytest.raises(BoundExceededError):
+            max_deficiency_3chromatic(worked_example)
         assert stable_positive_cover(worked_example) is not None
 
     def test_positive_triangle_with_pendant_negative(self, all_positive_triangle):

@@ -34,6 +34,8 @@ from sigdef import (
     switch_coloration,
 )
 
+from conftest import reference_report
+
 SETTINGS = settings(deadline=None, max_examples=120)
 
 
@@ -140,7 +142,8 @@ def test_chromatic_number_invariant_under_switching(g):
 @SETTINGS
 @given(signed_graphs(allow_double=True))
 def test_deficiency_range_bounded_by_half_chi(g):
-    rep = deficiency_report(g, early_stop=False)
+    # the full plain walk, so the bound is checked on every proper coloration
+    rep = reference_report(g)
     assert rep.range <= set(range(rep.chi // 2 + 1))
     assert rep.max_deficiency == max(rep.range)
     assert rep.min_deficiency == min(rep.range)
@@ -149,8 +152,9 @@ def test_deficiency_range_bounded_by_half_chi(g):
 @SETTINGS
 @given(signed_graphs(allow_double=True))
 def test_pruned_deficiency_report_equals_full_walk(g):
-    # the whole report: chi, range, extremes and every witness
-    assert deficiency_report(g) == deficiency_report(g, early_stop=False)
+    # the whole report: chi, range, extremes and every witness, against the
+    # full plain walk of ``reference_report``
+    assert deficiency_report(g) == reference_report(g)
 
 
 @SETTINGS
