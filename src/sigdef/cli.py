@@ -274,11 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--assume-chromatic-3",
         action="store_true",
-        help="skip the exhaustive 3-chromatic precondition check",
+        help="skip the 3-chromatic precondition check",
     )
     p.set_defaults(func=_run_report, report=_cmd_maxdef)
 
-    p = sub.add_parser("chromatic", help="exact chromatic number (small graphs)")
+    p = sub.add_parser(
+        "chromatic", help="exact chromatic number (above 2: small graphs only)"
+    )
     p.add_argument("file")
     p.set_defaults(func=_run_report, report=_cmd_chromatic)
 

@@ -390,9 +390,10 @@ def classify_two_chromatic(g: SignedGraph) -> TwoChromaticCase:
     """Closed-form deficiency classification of a 2-chromatic signed graph.
 
     The caller is responsible for the 2-chromatic precondition (check it
-    with the oracle at desk scale).  A positive edge pins both extremes to
-    zero; an all-negative graph has maximum deficiency 1, with minimum 1 or
-    0 according to whether it is connected.
+    with ``oracle.chromatic_number``, which decides chi <= 2 at any size).
+    A positive edge pins both extremes to zero; an all-negative graph has
+    maximum deficiency 1, with minimum 1 or 0 according to whether it is
+    connected.
     """
     if g.positive_edge_count > 0:
         return TwoChromaticCase.M0m0

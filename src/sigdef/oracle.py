@@ -1,27 +1,33 @@
 """Exhaustive, independently coded ground truth for small signed graphs.
 
-Everything here answers by enumeration: chromatic number by trying canonical
-color sets of growing size, deficiency ranges by a backtracking walk over the
-proper colorations of the minimal set, stable covers of the positive edges by
-subset (or one-side-per-matched-pair) search, and switching ranges by trying
-every switching.  Inputs above the configured size bounds are refused rather
-than answered approximately.
+Everything here answers by enumeration or by proof: chromatic number 0, 1
+or 2 by a linear-time parity test at any size, a larger one by trying
+canonical color sets of growing size, deficiency ranges by a backtracking
+walk over the proper colorations of the minimal set, stable covers of the
+positive edges by subset (or one-side-per-matched-pair) search, and
+switching ranges by trying every switching.  Inputs above the configured
+size bounds are refused rather than answered approximately.
 
 The chromatic number and the deficiency ranges share one search,
-``_first_colorations``, and one loop over color-set sizes; a deficiency
-report walks each size once.  The search colors vertices in ascending order
-and tries colors in canonical scan order, forward checking as it goes: each
+``_first_colorations``, and one loop over color-set sizes, which starts at
+the parity test's answer, or at 3 when the test fails; a deficiency report
+walks each size once.  The search colors vertices in ascending order and
+tries colors in canonical scan order, forward checking as it goes: each
 vertex keeps a bitmask domain of the colors its colored neighbors still
 allow, and a choice that empties some domain is not entered.  Such a
 subtree holds no proper coloration, so the colorations met, and their
 order, are those of the plain walk.  The search ends at a stop count of
-recorded deficiencies and skips every subtree in which each deficiency
-still reachable has already been seen.  When only the largest reachable one
-is new, it keeps to the colors already used: a coloration below that adds a
-color has a smaller deficiency, and each of those has been seen.  Neither
-cut removes the first coloration of a new value, so each reported witness
-is the one the plain walk meets first.  The tests hold the search against
-a plain-backtracking reference that shares none of its code.
+recorded deficiencies and cuts three kinds of subtree: those in which each
+deficiency still reachable has already been seen; those that add a color
+when only the largest reachable one is new, since a coloration that adds
+a color has a smaller deficiency, and each of those has been seen; and
+those that bring in a new magnitude other than the lowest unused one, or
+bring it in with its negative color first, since renaming magnitudes and
+negating one maps such a coloration to an earlier one of the same
+deficiency.  No cut removes the first coloration of a new value, so each
+reported witness is the one the plain walk meets first.  The tests hold
+the search against a plain-backtracking reference that shares none of its
+code.
 """
 
 from __future__ import annotations
@@ -126,14 +132,30 @@ def _first_colorations(
     When hi is the only one not recorded, the subtree is limited to the
     colors already used, and ends at once if some remaining vertex has no
     used color left in its domain: a leaf below that uses a new color has
-    deficiency below hi, and every such value is recorded.  Neither cut
-    removes the first coloration of an unrecorded value, so the result
-    equals the plain walk's.
+    deficiency below hi, and every such value is recorded.
+
+    A third cut breaks the symmetry of the colors.  Renaming the
+    magnitudes, or negating one magnitude (c <-> -c), maps a proper
+    coloration to a proper one with the same deficiency.  Normalize a
+    coloration by such a map so that its magnitudes first appear in the
+    order 1, 2, ... and each first appears positive: at the first vertex
+    where the two differ the original brings in a new magnitude, and the
+    normal form gives it the lowest unused +m, which comes earlier in scan
+    order.  So the first coloration of each deficiency is in normal form,
+    and vertex v may take only a color already used, 0, the partner -c of
+    a used +c, or +m for the lowest magnitude m not yet used.  Each
+    prefix walked is then in normal form, so that m is the lowest one
+    whose +m is unused.  The open colors depend only on the used mask and
+    are kept per mask.  No cut removes the first coloration of an
+    unrecorded value, so the result equals the plain walk's.
     """
     n = len(later)
     order = canonical_color_order(size)
     flip = [order.index(-c) for c in order]  # index of -c for the index of c
     full = (1 << size) - 1
+    plus = sum(1 << i for i, c in enumerate(order) if c > 0)
+    zero = size & 1  # the bit of color 0, first in scan order when present
+    opened: dict[int, int] = {}  # used mask -> colors open to the next vertex
     dom = [full] * n
     assign = [0] * n
     found: dict[int, tuple[int, ...]] = {}
@@ -164,8 +186,13 @@ def _first_colorations(
                 for u in range(v, n):
                     if not dom[u] & used:
                         return False
+        open_ = opened.get(used)
+        if open_ is None:
+            fresh = plus & ~used
+            open_ = used | zero | (used & plus) << 1 | (fresh & -fresh)
+            opened[used] = open_
         trail: list[int] = []
-        choices = dom[v] & allowed
+        choices = dom[v] & allowed & open_
         while choices:
             bit = choices & -choices
             choices ^= bit
@@ -195,25 +222,54 @@ def _first_colorations(
     return found
 
 
-def _minimal_colorations(
-    g: SignedGraph, *, first_only: bool
-) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The smallest canonical color-set size admitting a proper coloration,
-    and what ``_first_colorations`` finds at that size: its first coloration
-    only with ``first_only``, else the first of each deficiency.  Smaller
-    sizes hold no proper coloration, so the stop count tried there changes
-    nothing.  The vertexless graph gives size 0 and its one empty
-    coloration.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are
-    refused."""
+def _parity_chromatic_number(g: SignedGraph) -> int | None:
+    """The chromatic number when it is at most 2, else None, in linear time.
+
+    0 for the vertexless graph and 1 when there are vertices but no edge:
+    the one-color set {0} colors exactly the edgeless graphs.  Over {+-1}
+    a positive edge needs different ends and a negative edge equal ends,
+    so chi <= 2 exactly when these parity constraints are consistent, which
+    a breadth-first search decides: 2 then, and None when they conflict.
+    """
     if g.n == 0:
-        return 0, {0: ()}
+        return 0
+    if not any(g.pos_adj) and not any(g.neg_adj):
+        return 1
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            s = side[u]
+            for across, adj in ((1, g.pos_adj[u]), (0, g.neg_adj[u])):
+                for w in adj:
+                    if side[w] < 0:
+                        side[w] = s ^ across
+                        queue.append(w)
+                    elif side[w] != s ^ across:
+                        return None
+    return 2
+
+
+def _minimal_colorations(
+    g: SignedGraph, start: int, *, first_only: bool
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The smallest canonical color-set size from ``start`` up admitting a
+    proper coloration, and what ``_first_colorations`` finds at that size:
+    its first coloration only with ``first_only``, else the first of each
+    deficiency.  Callers start at the parity test's chi, or at 3 when it
+    fails, so no smaller size holds a proper coloration.  The vertexless
+    graph gives size 0 and its one empty coloration.  Graphs above
+    ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused."""
     if g.n > DEFAULT_EXHAUSTIVE_BOUND:
         raise BoundExceededError(
             f"chromatic number needs exhaustive search; {g.n} vertices "
             f"exceeds the bound of {DEFAULT_EXHAUSTIVE_BOUND}"
         )
     later = _later_neighbors(g)
-    for size in range(1, 2 * g.n + 1):
+    for size in range(start, 2 * g.n + 1):
         stop = 1 if first_only else max_possible_deficiency(size) + 1
         found = _first_colorations(later, size, stop)
         if found:
@@ -224,11 +280,15 @@ def _minimal_colorations(
 def chromatic_number(g: SignedGraph) -> int:
     """Size of the smallest canonical color set admitting a proper coloration.
 
-    0 for the vertexless graph.  Each size's walk ends at its first proper
-    coloration.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are
+    0, 1 and 2 come from the parity test, without search and at any size.
+    Otherwise each size from 3 up is walked until its first proper
+    coloration, and graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are
     refused.
     """
-    return _minimal_colorations(g, first_only=True)[0]
+    chi = _parity_chromatic_number(g)
+    if chi is None:
+        chi = _minimal_colorations(g, 3, first_only=True)[0]
+    return chi
 
 
 class DeficiencyReport(NamedTuple):
@@ -255,14 +315,18 @@ def deficiency_report(g: SignedGraph) -> DeficiencyReport:
     minimal color set, with the first coloration met of each value as its
     witness.  Graphs above ``DEFAULT_EXHAUSTIVE_BOUND`` vertices are refused.
 
-    Each color-set size is walked once: sizes below chi hold no proper
-    coloration, and the walk at chi gives the report.  The walk skips
+    Each color-set size is walked once, from the parity test's chi, or
+    from 3 when it fails: sizes below chi hold no proper coloration, and
+    the walk at chi gives the report.  The walk skips
     subtrees that cannot yield a deficiency not yet seen and ends once every
     achievable value has appeared.  A skipped subtree holds no first
     occurrence of any value, so the witnesses are those of the plain walk;
     the tests hold the report against an independent reference.
     """
-    chi, found = _minimal_colorations(g, first_only=False)
+    start = _parity_chromatic_number(g)
+    chi, found = _minimal_colorations(
+        g, 3 if start is None else start, first_only=False
+    )
     k, uses_zero = chi // 2, bool(chi % 2)
     cap = max_possible_deficiency(chi)
     _check(bool(found), "a minimal proper coloration must exist")

@@ -36,6 +36,11 @@ WORKED_NEGATIVE = [
 ]
 WORKED_COVER = {"b1", "a2", "b3", "a4", "a5", "a6", "a7"}
 
+# Ten isolated vertices: they lift a triangle to 13 vertices, above the
+# exhaustive bound of 12, without changing its chromatic number of 3.
+PADDING = [f"p{i}" for i in range(10)]
+ALL_POSITIVE_TRIANGLE = [("x", "y", "+"), ("y", "z", "+"), ("x", "z", "+")]
+
 # 3-chromatic graph without a stable cover where one pair ends up with a
 # forbidden side and a looped partner: two positive paths u1-v1-u2 and
 # u3-v3-u4 with negatives u1u2, u3u4 (the loops), v1v3, v3u1, u3u1.
@@ -218,4 +223,4 @@ def blocked_loop_graph() -> SignedGraph:
 
 @pytest.fixture
 def all_positive_triangle() -> SignedGraph:
-    return build_graph([("x", "y", "+"), ("y", "z", "+"), ("x", "z", "+")])
+    return build_graph(ALL_POSITIVE_TRIANGLE)

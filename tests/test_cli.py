@@ -14,9 +14,17 @@ import sigdef
 from sigdef import parse_sg
 from sigdef.cli import main
 
-from conftest import WORKED_NEGATIVE, WORKED_POSITIVE
+from conftest import PADDING, WORKED_NEGATIVE, WORKED_POSITIVE
 
 TRIANGLE_SG = "e u v +\ne u w -\ne v w -\n"
+# 13 vertices, above the exhaustive bound: the 3-chromatic triangle above
+# (value 1) and a positive triangle (value 0), each with 10 isolated vertices
+PADDING_SG = "".join(f"v {label}\n" for label in PADDING)
+PADDED_TRIANGLE_SG = TRIANGLE_SG + PADDING_SG
+PADDED_POSITIVE_SG = "e x y +\ne y z +\ne x z +\n" + PADDING_SG
+# 40 matched pairs with the single negative edge a1~b2: 2-chromatic, so
+# its maximum deficiency is 0 by the closed form
+FORTY_PAIRS_SG = "".join(f"e a{i} b{i} +\n" for i in range(1, 41)) + "e a1 b2 -\n"
 
 
 def worked_sg_text() -> str:
@@ -30,6 +38,16 @@ def triangle_file(tmp_path):
     path = tmp_path / "fig.sg"
     path.write_text(TRIANGLE_SG)
     return str(path)
+
+
+@pytest.fixture
+def sg_file(tmp_path):
+    def write(text: str) -> str:
+        path = tmp_path / "graph.sg"
+        path.write_text(text)
+        return str(path)
+
+    return write
 
 
 @pytest.fixture
@@ -84,14 +102,30 @@ class TestMaxdefCommand:
         assert not added & {"dataclasses", "inspect"}, sorted(added)
 
     def test_worked_example(self, capsys, worked_file):
-        code, report, err = run_json(capsys, ["maxdef", worked_file])
+        # the fixture is 2-chromatic, which the parity test finds at its
+        # 14 vertices; the caller's assertion runs the procedure anyway
+        code, _, err = run(capsys, ["maxdef", worked_file])
+        assert code == 1
+        assert "2-chromatic" in err
+        code, report, _ = run_json(
+            capsys, ["maxdef", worked_file, "--assume-chromatic-3"]
+        )
         assert code == 0
         assert report["result"]["value"] == 1
         assert report["result"]["cover"] == [
             "b1", "a2", "b3", "a4", "a5", "a6", "a7",
         ]
-        # 14 vertices exceed the exhaustive bound, so a note lands on stderr
+
+    def test_note_only_for_unproved_zero_above_bound(self, capsys, sg_file):
+        # 13 vertices exceed the exhaustive bound: a value-0 answer stands
+        # on the caller's word and a note lands on stderr, while a value-1
+        # answer's cover proves chi = 3
+        code, report, err = run_json(capsys, ["maxdef", sg_file(PADDED_POSITIVE_SG)])
+        assert code == 0 and report["result"]["value"] == 0
         assert "not verified" in err
+        code, report, err = run_json(capsys, ["maxdef", sg_file(PADDED_TRIANGLE_SG)])
+        assert code == 0 and report["result"]["value"] == 1
+        assert err == ""
 
     def test_report_times_parsing_apart(self, capsys, worked_file):
         code, report, _ = run_json(
@@ -102,7 +136,9 @@ class TestMaxdefCommand:
             assert isinstance(report[key], float) and report[key] >= 0.0
 
     def test_trace_flag(self, capsys, worked_file):
-        code, report, _ = run_json(capsys, ["maxdef", worked_file, "--trace"])
+        code, report, _ = run_json(
+            capsys, ["maxdef", worked_file, "--trace", "--assume-chromatic-3"]
+        )
         assert code == 0
         steps = [entry["step"] for entry in report["result"]["trace"]]
         assert steps == [8, 9, 11, 12, 6, 4, 10]
@@ -121,6 +157,15 @@ class TestMaxdefCommand:
         assert code == 1
         assert "2-chromatic" in err
 
+    def test_two_chromatic_refused_at_any_size(self, capsys, sg_file):
+        path = sg_file(FORTY_PAIRS_SG)
+        code, _, err = run(capsys, ["maxdef", path])
+        assert code == 1
+        assert "2-chromatic" in err
+        code, report, _ = run_json(capsys, ["classify2", path])
+        assert code == 0
+        assert report["result"] == {"case": "M0m0", "M": 0, "m": 0}
+
 
 class TestOracleCommands:
     def test_chromatic(self, capsys, triangle_file):
@@ -128,8 +173,12 @@ class TestOracleCommands:
         assert code == 0
         assert report["result"] == {"chi": 3}
 
-    def test_chromatic_bound_exceeded_exits_3(self, capsys, worked_file):
-        code, _, err = run(capsys, ["chromatic", worked_file])
+    def test_chromatic_bound_exceeded_exits_3(self, capsys, worked_file, sg_file):
+        # chi <= 2 is answered at any size; chi = 3 needs the bounded search
+        code, report, _ = run_json(capsys, ["chromatic", worked_file])
+        assert code == 0
+        assert report["result"] == {"chi": 2}
+        code, _, err = run(capsys, ["chromatic", sg_file(PADDED_POSITIVE_SG)])
         assert code == 3
         assert "refused" in err
 

@@ -36,6 +36,9 @@ from sigdef.maxdef import (
 )
 
 from conftest import (
+    ALL_POSITIVE_TRIANGLE,
+    PADDING,
+    TRIANGLE_EDGES,
     WORKED_COVER,
     WORKED_NEGATIVE,
     best_cpu_seconds,
@@ -441,10 +444,16 @@ class TestMaxDefRuns:
     def test_chi_verified_recorded_outside_json(self, worked_example, triangle):
         assert maxdef(triangle).chi_verified
         assert not maxdef(triangle, assume_chromatic_3=True).chi_verified
-        # 14 vertices exceed the exhaustive bound
-        result = maxdef(worked_example)
-        assert not result.chi_verified
-        assert "chi_verified" not in result.to_json()
+        # Above the exhaustive bound a value-1 answer still proves chi = 3,
+        # with the failed parity test; a value-0 answer does not.
+        one = maxdef(build_graph(TRIANGLE_EDGES, vertices=PADDING))
+        assert one.value == 1 and one.chi_verified
+        zero = maxdef(build_graph(ALL_POSITIVE_TRIANGLE, vertices=PADDING))
+        assert zero.value == 0 and not zero.chi_verified
+        assert "chi_verified" not in zero.to_json()
+        # the 14-vertex worked example is 2-chromatic: refused at any size
+        with pytest.raises(NotThreeChromaticError, match="2-chromatic"):
+            maxdef(worked_example)
 
     def test_checks_count_only_validated_batches(self, worked_example):
         assert maxdef(worked_example, assume_chromatic_3=True).checks == 0

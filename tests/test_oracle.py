@@ -29,11 +29,20 @@ from sigdef import (
 from sigdef.oracle import (
     _cover_matched,
     _cover_subsets,
+    _first_colorations,
+    _later_neighbors,
+    _parity_chromatic_number,
     _positive_perfect_matching,
     canonical_color_order,
 )
 
-from conftest import WORKED_COVER, best_cpu_seconds, reference_report
+from conftest import (
+    ALL_POSITIVE_TRIANGLE,
+    PADDING,
+    WORKED_COVER,
+    best_cpu_seconds,
+    reference_report,
+)
 
 
 def _brute_force_report(g):
@@ -67,13 +76,14 @@ class TestChromaticNumber:
         # despite appearances this graph is antibalanced: coloring each of
         # a1 a2 a3 a4 b5 b6 a7 with 1 and the rest with -1 is proper.  Any
         # edge rules out the one-color set {0}, so the graph is 2-chromatic.
-        # At 14 vertices it lies above the oracle's bound, so the test
-        # checks the coloring itself.
+        # The parity test answers at its 14 vertices, above the search's
+        # bound; the test checks the coloring itself too.
         ones = {"a1", "a2", "a3", "a4", "b5", "b6", "a7"}
         mapping = {x: 1 if x in ones else -1 for x in worked_example.labels}
         kappa = Coloration.from_labels(worked_example, mapping, k=1)
         assert is_proper(worked_example, kappa)
         assert worked_example.positive_edge_count > 0
+        assert chromatic_number(worked_example) == 2
 
     def test_empty_and_edgeless(self):
         assert chromatic_number(build_graph([])) == 0
@@ -83,11 +93,30 @@ class TestChromaticNumber:
         g = build_graph([("u", "v", "+"), ("u", "v", "-")])
         assert chromatic_number(g) == 3
 
-    def test_bound_refusal(self, worked_example):
+    def test_bound_refusal(self):
+        # chi = 3 needs the search, which refuses 13 vertices
+        g = build_graph(ALL_POSITIVE_TRIANGLE, vertices=PADDING)
         with pytest.raises(
-            BoundExceededError, match="14 vertices exceeds the bound of 12"
+            BoundExceededError, match="13 vertices exceeds the bound of 12"
         ):
-            chromatic_number(worked_example)
+            chromatic_number(g)
+
+    def test_parity_test_matches_the_search(self):
+        # The BFS parity test against the first size, 1 or 2, at which the
+        # coloring walk finds a proper coloration; the two share no code.
+        answers = set()
+        for seed in range(3000):
+            n = 1 + seed % 9
+            p = (0.1, 0.3, 0.6)[seed // 9 % 3]
+            g = generate_general(n, p, 0.5, seed, double_prob=0.1)
+            later = _later_neighbors(g)
+            searched = next(
+                (size for size in (1, 2) if _first_colorations(later, size, 1)),
+                None,
+            )
+            assert _parity_chromatic_number(g) == searched, seed
+            answers.add(searched)
+        assert answers == {1, 2, None}
 
 
 class TestDeficiencyReport:
@@ -177,6 +206,20 @@ class TestDeficiencyReport:
         full = best_cpu_seconds(lambda: reference_report(g), rounds=1)
         assert 45 * pruned <= full, (pruned, full)
 
+    def test_symmetry_cut_after_isolated_vertices(self):
+        # The same triangle colored after 9 isolated vertices: each prefix
+        # of isolated colors that leaves a color unused is explored until
+        # the triangle fails, and the cut on new magnitudes leaves only the
+        # prefixes whose magnitudes appear in order, each first positive.
+        g = build_graph(
+            [("a", "b", "+"), ("b", "c", "+"), ("a", "c", "+")],
+            vertices=[f"x{i}" for i in range(9)] + ["a", "b", "c"],
+        )
+        assert deficiency_report(g) == reference_report(g)
+        pruned = best_cpu_seconds(lambda: deficiency_report(g), rounds=5)
+        full = best_cpu_seconds(lambda: reference_report(g), rounds=1)
+        assert 60 * pruned <= full, (pruned, full)
+
     def test_deterministic_witnesses(self, triangle):
         a = deficiency_report(triangle)
         b = deficiency_report(triangle)
@@ -227,14 +270,18 @@ class TestMaxDeficiency3Chromatic:
         assert max_deficiency_3chromatic(triangle) == 1
 
     def test_worked_example_refused_but_cover_exists(self, worked_example):
-        # the 7-pair fixture has 14 vertices, above the chromatic-number
-        # bound, so the oracle refuses it (it is 2-chromatic anyway: see
-        # TestChromaticNumber.test_worked_example); a stable cover of its
-        # positive edges still exists, which is what the decision procedure
-        # reports
-        with pytest.raises(BoundExceededError):
+        # the 7-pair fixture is 2-chromatic (see
+        # TestChromaticNumber.test_worked_example), so the oracle refuses
+        # it; a stable cover of its positive edges still exists, which is
+        # what the decision procedure reports under --assume-chromatic-3
+        with pytest.raises(NotThreeChromaticError, match="2-chromatic"):
             max_deficiency_3chromatic(worked_example)
         assert stable_positive_cover(worked_example) is not None
+        # a graph that needs the search above its bound is refused
+        with pytest.raises(BoundExceededError):
+            max_deficiency_3chromatic(
+                build_graph(ALL_POSITIVE_TRIANGLE, vertices=PADDING)
+            )
 
     def test_positive_triangle_with_pendant_negative(self, all_positive_triangle):
         g = build_graph(
