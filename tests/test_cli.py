@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -337,3 +338,75 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err == "error: --general requires --vertices\n"
+
+
+DEMOS = Path(__file__).parents[1] / "demos"
+
+
+def golden_calls(tmp_path) -> list[list[str]]:
+    """Every subcommand on the demo fixtures, a few files written to
+    ``tmp_path``, and the usage errors that each command reports."""
+    triangle = str(DEMOS / "fig_triangle.sg")
+    worked = str(DEMOS / "worked_example.sg")
+    padded = tmp_path / "padded.sg"
+    padded.write_text(PADDED_POSITIVE_SG)
+    malformed = tmp_path / "malformed.sg"
+    malformed.write_text("e a b +\ne c c -\n")
+    return [
+        ["maxdef", triangle],
+        ["maxdef", worked],
+        ["maxdef", triangle, "--trace"],
+        ["maxdef", worked, "--assume-chromatic-3"],
+        ["maxdef", worked, "--trace", "--assume-chromatic-3"],
+        ["maxdef", str(padded)],
+        ["maxdef", str(malformed)],
+        ["chromatic", triangle],
+        ["chromatic", worked],
+        ["chromatic", str(padded)],
+        ["deficiency", triangle],
+        ["classify2", triangle],
+        ["classify2", worked],
+        ["switch", triangle, "--set", "w"],
+        ["switch", worked, "--set", "a1,b2,a3"],
+        ["switch", triangle, "--set", "zz"],
+        ["switching-range", triangle],
+        ["cover-check", worked, "--cover", "b1,a2,b3,a4,a5,a6,a7"],
+        ["cover-check", worked, "--cover", "a1,a2"],
+        ["cover-check", worked, "--cover", "zz"],
+        ["gen", "--pairs", "5", "--neg-prob", "0.3", "--seed", "11"],
+        ["gen", "--general", "--vertices", "7", "--edge-prob", "0.5",
+         "--neg-prob", "0.4", "--double-prob", "0.1", "--seed", "3"],
+        ["gen", "--seed", "1"],
+        ["gen", "--general", "--seed", "1"],
+        ["dot", triangle],
+        ["dot", worked, "--cover", "b1,a2"],
+        ["dot", triangle, "--cover", "zz"],
+        ["crosscheck", "--count", "12", "--max-pairs", "4", "--seed", "5"],
+        ["crosscheck", "--count", "-1", "--seed", "5"],
+        ["crosscheck", "--max-pairs", "21", "--seed", "5"],
+    ]
+
+
+def golden_digest(capsys, calls) -> str:
+    """SHA-256 over each call's argv, exit code, stdout and stderr.  File
+    paths are cut to their basenames, and a JSON report drops its timings,
+    so the digest depends neither on the checkout's place nor on the clock."""
+    digest = hashlib.sha256()
+    for argv in calls:
+        code, out, err = run(capsys, argv)
+        if out.startswith("{"):
+            report = json.loads(out)
+            del report["elapsed_ms"], report["parse_ms"]
+            report["argv"] = [os.path.basename(a) for a in report["argv"]]
+            out = json.dumps(report)
+        record = [[os.path.basename(a) for a in argv], code, out, err]
+        digest.update(json.dumps(record).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+GOLDEN_CLI_DIGEST = "7688e117db01af760c7a123d5c8d47e6c92774b8b52c75df70a0217c7a7eb96e"
+
+
+def test_golden_cli_digest(capsys, tmp_path):
+    assert golden_digest(capsys, golden_calls(tmp_path)) == GOLDEN_CLI_DIGEST
