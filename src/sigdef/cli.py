@@ -1,17 +1,22 @@
 """Command-line surface tying the library together.
 
-Analytic subcommands print a JSON run report on stdout:
+Every subcommand runs through one runner, ``_run``.  It reads and parses
+the input file when the command takes one, then calls the command's
+handler, ``(args, g) -> (output, exit code)``, and writes what it
+returns: a dict as the JSON run report on stdout,
 
     {"schema": "sigdef/1", "command": ..., "argv": [...], "result": ...,
      "elapsed_ms": ..., "parse_ms": ..., "seed": ...}
 
-``elapsed_ms`` times the command itself and ``parse_ms`` the reading and
-parsing of its input file; ``parse_ms`` is null for a command that reads
-no file.
+a str as is (``gen`` and ``switch`` emit .sg text, ``dot`` DOT text, for
+piping), and nothing for None.  ``elapsed_ms`` times the command itself
+and ``parse_ms`` the reading and parsing of its input file; ``parse_ms``
+is null for a command that reads no file.
 
-``gen`` and ``switch`` emit .sg text, ``dot`` emits DOT text, both for
-piping.  Diagnostics go to stderr.  Exit codes: 0 success, 1 mismatch or
-violated check, 2 usage/parse error, 3 exhaustive bound exceeded.
+Diagnostics go to stderr; ``main`` prints every error, and a handler
+reports a usage error by raising ``ValueError``.  Exit codes: 0 success,
+1 mismatch or violated check, 2 usage/parse error, 3 exhaustive bound
+exceeded.
 """
 
 from __future__ import annotations
@@ -58,30 +63,32 @@ def _coloration_json(g: SignedGraph, kappa: Coloration) -> dict:
     }
 
 
-def _run_report(args) -> int:
-    """Shared path of the JSON-reporting subcommands: parse the input file,
-    if the command takes one, then run ``args.report(args, g)`` and print
-    the payload it returns.  Parsing and the command are timed apart, as
-    ``parse_ms`` and ``elapsed_ms``.  ``args.report`` returns ``(payload,
-    exit code)``, with payload None to print nothing."""
+def _run(args) -> int:
+    """Run a subcommand: parse its input file, if it takes one, then call
+    ``args.handler(args, g)`` and write the output it returns.  The output
+    is one of three kinds: a dict is the result of the JSON run report,
+    printed on one line; a str is written as is; None writes nothing.
+    Parsing and the command are timed apart, as ``parse_ms`` and
+    ``elapsed_ms``.  Returns the handler's exit code."""
     g = parse_ms = None
     if "file" in args:
         started = time.perf_counter()
         g = _load(args.file)
         parse_ms = _ms_since(started)
     started = time.perf_counter()
-    result, code = args.report(args, g)
-    if result is not None:
-        report = {
+    output, code = args.handler(args, g)
+    if isinstance(output, dict):
+        output = json.dumps({
             "schema": "sigdef/1",
             "command": args.command,
-            "argv": list(getattr(args, "_argv", [])),
-            "result": result,
+            "argv": args._argv,
+            "result": output,
             "elapsed_ms": _ms_since(started),
             "parse_ms": parse_ms,
             "seed": getattr(args, "seed", None),
-        }
-        print(json.dumps(report))
+        }) + "\n"
+    if output is not None:
+        sys.stdout.write(output)
     return code
 
 
@@ -135,11 +142,9 @@ def _cmd_classify2(args, g: SignedGraph) -> tuple[dict | None, int]:
     return payload, EXIT_OK
 
 
-def _cmd_switch(args) -> int:
-    g = _load(args.file)
+def _cmd_switch(args, g: SignedGraph) -> tuple[str, int]:
     ids = g.ids_of(_split_labels(args.set))
-    sys.stdout.write(sgio.serialize_sg(switch(g, ids)))
-    return EXIT_OK
+    return sgio.serialize_sg(switch(g, ids)), EXIT_OK
 
 
 def _cmd_switching_range(args, g: SignedGraph) -> tuple[dict, int]:
@@ -163,11 +168,10 @@ def _cmd_cover_check(args, g: SignedGraph) -> tuple[dict, int]:
     return payload, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _: None) -> tuple[str, int]:
     if args.general:
         if args.vertices is None:
-            print("error: --general requires --vertices", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--general requires --vertices")
         g = sgio.generate_general(
             args.vertices,
             args.edge_prob,
@@ -175,20 +179,16 @@ def _cmd_gen(args) -> int:
             args.seed,
             double_prob=args.double_prob,
         )
+    elif args.pairs is None:
+        raise ValueError("--pairs is required (or use --general)")
     else:
-        if args.pairs is None:
-            print("error: --pairs is required (or use --general)", file=sys.stderr)
-            return EXIT_USAGE
         g = sgio.generate_matched(args.pairs, args.neg_prob, args.seed)
-    sys.stdout.write(sgio.serialize_sg(g))
-    return EXIT_OK
+    return sgio.serialize_sg(g), EXIT_OK
 
 
-def _cmd_dot(args) -> int:
-    g = _load(args.file)
+def _cmd_dot(args, g: SignedGraph) -> tuple[str, int]:
     highlight = g.ids_of(_split_labels(args.cover)) if args.cover else frozenset()
-    sys.stdout.write(sgio.export_dot(g, highlight))
-    return EXIT_OK
+    return sgio.export_dot(g, highlight), EXIT_OK
 
 
 def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> SignedGraph:
@@ -207,16 +207,11 @@ def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> Sign
     )
 
 
-def _cmd_crosscheck(args, _: None) -> tuple[dict | None, int]:
+def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
     if args.count < 0:
-        print("error: --count must be non-negative", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise ValueError("--count must be non-negative")
     if not 1 <= args.max_pairs <= oracle.DEFAULT_PAIR_BOUND:
-        print(
-            f"error: --max-pairs must lie in 1..{oracle.DEFAULT_PAIR_BOUND}",
-            file=sys.stderr,
-        )
-        return None, EXIT_USAGE
+        raise ValueError(f"--max-pairs must lie in 1..{oracle.DEFAULT_PAIR_BOUND}")
     rng = random.Random(args.seed)
     mismatches = 0
     compared = 0
@@ -268,45 +263,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("maxdef", help="decide the maximum deficiency (0 or 1)")
-    p.add_argument("file")
+    def command(name, handler, help, file=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("maxdef", _cmd_maxdef, "decide the maximum deficiency (0 or 1)")
     p.add_argument("--trace", action="store_true", help="include the step trace")
     p.add_argument(
         "--assume-chromatic-3",
         action="store_true",
         help="skip the 3-chromatic precondition check",
     )
-    p.set_defaults(func=_run_report, report=_cmd_maxdef)
-
-    p = sub.add_parser(
-        "chromatic", help="exact chromatic number (above 2: small graphs only)"
-    )
-    p.add_argument("file")
-    p.set_defaults(func=_run_report, report=_cmd_chromatic)
-
-    p = sub.add_parser("deficiency", help="deficiency range with witnesses")
-    p.add_argument("file")
-    p.set_defaults(func=_run_report, report=_cmd_deficiency)
-
-    p = sub.add_parser("classify2", help="closed-form 2-chromatic classification")
-    p.add_argument("file")
-    p.set_defaults(func=_run_report, report=_cmd_classify2)
-
-    p = sub.add_parser("switch", help="switch a vertex set, print the .sg result")
-    p.add_argument("file")
+    command("chromatic", _cmd_chromatic,
+            "exact chromatic number (above 2: small graphs only)")
+    command("deficiency", _cmd_deficiency, "deficiency range with witnesses")
+    command("classify2", _cmd_classify2, "closed-form 2-chromatic classification")
+    p = command("switch", _cmd_switch, "switch a vertex set, print the .sg result")
     p.add_argument("--set", required=True, help="comma-separated vertex labels")
-    p.set_defaults(func=_cmd_switch)
-
-    p = sub.add_parser("switching-range", help="deficiencies across all switchings")
-    p.add_argument("file")
-    p.set_defaults(func=_run_report, report=_cmd_switching_range)
-
-    p = sub.add_parser("cover-check", help="verify a stable cover of E+")
-    p.add_argument("file")
+    command("switching-range", _cmd_switching_range,
+            "deficiencies across all switchings")
+    p = command("cover-check", _cmd_cover_check, "verify a stable cover of E+")
     p.add_argument("--cover", required=True, help="comma-separated vertex labels")
-    p.set_defaults(func=_run_report, report=_cmd_cover_check)
 
-    p = sub.add_parser("gen", help="generate a seeded random graph as .sg")
+    p = command("gen", _cmd_gen, "generate a seeded random graph as .sg", file=False)
     p.add_argument("--pairs", type=int, help="matched pairs (matched mode)")
     p.add_argument("--neg-prob", type=float, default=0.2)
     p.add_argument("--seed", type=int, required=True)
@@ -314,16 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, help="vertex count (general mode)")
     p.add_argument("--edge-prob", type=float, default=0.4)
     p.add_argument("--double-prob", type=float, default=0.0)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("dot", help="export DOT (positive solid, negative dashed)")
-    p.add_argument("file")
+    p = command("dot", _cmd_dot, "export DOT (positive solid, negative dashed)")
     p.add_argument("--cover", help="comma-separated labels to box")
-    p.set_defaults(func=_cmd_dot)
 
-    p = sub.add_parser(
+    p = command(
         "crosscheck",
-        help="random equivalence runs of the decision procedure vs. enumeration",
+        _cmd_crosscheck,
+        "random equivalence runs of the decision procedure vs. enumeration",
+        file=False,
     )
     p.add_argument("--count", type=int, default=100)
     p.add_argument(
@@ -333,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest matched instance, at most {oracle.DEFAULT_PAIR_BOUND} pairs",
     )
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_run_report, report=_cmd_crosscheck)
-
     return parser
 
 
@@ -347,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
+        return _run(args)
     except sgio.SgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

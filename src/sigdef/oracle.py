@@ -145,8 +145,7 @@ def _first_colorations(
     and vertex v may take only a color already used, 0, the partner -c of
     a used +c, or +m for the lowest magnitude m not yet used.  Each
     prefix walked is then in normal form, so that m is the lowest one
-    whose +m is unused.  The open colors depend only on the used mask and
-    are kept per mask.  No cut removes the first coloration of an
+    whose +m is unused.  No cut removes the first coloration of an
     unrecorded value, so the result equals the plain walk's.
     """
     n = len(later)
@@ -155,7 +154,6 @@ def _first_colorations(
     full = (1 << size) - 1
     plus = sum(1 << i for i, c in enumerate(order) if c > 0)
     zero = size & 1  # the bit of color 0, first in scan order when present
-    opened: dict[int, int] = {}  # used mask -> colors open to the next vertex
     dom = [full] * n
     assign = [0] * n
     found: dict[int, tuple[int, ...]] = {}
@@ -186,11 +184,8 @@ def _first_colorations(
                 for u in range(v, n):
                     if not dom[u] & used:
                         return False
-        open_ = opened.get(used)
-        if open_ is None:
-            fresh = plus & ~used
-            open_ = used | zero | (used & plus) << 1 | (fresh & -fresh)
-            opened[used] = open_
+        fresh = plus & ~used
+        open_ = used | zero | (used & plus) << 1 | (fresh & -fresh)
         trail: list[int] = []
         choices = dom[v] & allowed & open_
         while choices:

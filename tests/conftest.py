@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import math
 import random
 import time
 
@@ -143,21 +142,29 @@ def loop_family(n: int, both: bool = False) -> SignedGraph:
     return build_graph(edges)
 
 
+def cpu_timed_rounds(runs, rounds: int = 3):
+    """Call each of ``runs`` once per round, round-major, so that a slow
+    spell of the host hits every callable alike, and yield ``(index, value,
+    seconds)`` for each call: which callable, what it returned, and the
+    CPU time of this process it took, with the cyclic garbage collector
+    paused during the call."""
+    for _ in range(rounds):
+        for i, run in enumerate(runs):
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.process_time_ns()
+                value = run()
+                elapsed = (time.process_time_ns() - started) / 1e9
+            finally:
+                gc.enable()
+            yield i, value, elapsed
+
+
 def best_cpu_seconds(run, rounds: int = 3) -> float:
     """Fastest of ``rounds`` calls of ``run()`` in this process's CPU time,
     with the cyclic garbage collector paused during each call."""
-    best = math.inf
-    for _ in range(rounds):
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.process_time_ns()
-            run()
-            elapsed = (time.process_time_ns() - started) / 1e9
-        finally:
-            gc.enable()
-        best = min(best, elapsed)
-    return best
+    return min(seconds for _, _, seconds in cpu_timed_rounds([run], rounds))
 
 
 def reference_report(g: SignedGraph) -> DeficiencyReport:

@@ -10,7 +10,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 from __future__ import annotations
 
 import contextlib
-import gc
+import functools
 import io
 import itertools
 import json
@@ -44,7 +44,7 @@ from sigdef import (
 )
 from sigdef.cli import main
 
-from conftest import WORKED_COVER, planted
+from conftest import WORKED_COVER, cpu_timed_rounds, planted
 
 RANDOM_CORPUS_SEED = 20260808
 RANDOM_CORPUS_SIZE = 10_000
@@ -346,22 +346,14 @@ def test_criterion_6_planted_scaling():
     sizes = (1000, 2000, 4000, 8000, 16000)
     budget = 0.5  # seconds for 4000 pairs
     graphs = [planted(pairs, seed=3000 + pairs) for pairs in sizes]
+    runs = [functools.partial(maxdef, g, assume_chromatic_3=True) for g in graphs]
     best = [math.inf] * len(sizes)
-    for _ in range(3):
-        for i, g in enumerate(graphs):
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.process_time_ns()
-                result = maxdef(g, assume_chromatic_3=True)
-                elapsed = (time.process_time_ns() - started) / 1e9
-            finally:
-                gc.enable()
-            assert result.value == 1
-            best[i] = min(best[i], elapsed)
-            if sizes[i] <= 4000 and best[i] >= budget:
-                # a run no larger than 4000 pairs already overran the budget
-                report(6, False, f"planted {sizes[i]} pairs took {best[i]:.3f}s")
+    for i, result, elapsed in cpu_timed_rounds(runs):
+        assert result.value == 1
+        best[i] = min(best[i], elapsed)
+        if sizes[i] <= 4000 and best[i] >= budget:
+            # a run no larger than 4000 pairs already overran the budget
+            report(6, False, f"planted {sizes[i]} pairs took {best[i]:.3f}s")
     slope = statistics.linear_regression(
         [math.log(p) for p in sizes], [math.log(t) for t in best]
     ).slope
@@ -387,22 +379,19 @@ def test_criterion_6_end_to_end_scaling(tmp_path):
         path = tmp_path / f"planted{pairs}.sg"
         path.write_text(serialize_sg(planted(pairs, seed=3000 + pairs)), encoding="utf-8")
         paths.append(str(path))
+
+    def command(path: str) -> tuple[int, str]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["maxdef", path, "--assume-chromatic-3"])
+        return code, out.getvalue()
+
+    runs = [functools.partial(command, path) for path in paths]
     best = [math.inf] * len(sizes)
-    for _ in range(3):
-        for i, path in enumerate(paths):
-            out = io.StringIO()
-            gc.collect()
-            gc.disable()
-            try:
-                with contextlib.redirect_stdout(out):
-                    started = time.process_time_ns()
-                    code = main(["maxdef", path, "--assume-chromatic-3"])
-                    elapsed = (time.process_time_ns() - started) / 1e9
-            finally:
-                gc.enable()
-            assert code == 0
-            assert json.loads(out.getvalue())["result"]["value"] == 1
-            best[i] = min(best[i], elapsed)
+    for i, (code, out), elapsed in cpu_timed_rounds(runs):
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == 1
+        best[i] = min(best[i], elapsed)
     slope = statistics.linear_regression(
         [math.log(p) for p in sizes], [math.log(t) for t in best]
     ).slope

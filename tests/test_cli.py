@@ -302,36 +302,54 @@ class TestCrosscheck:
         assert flag in err
 
 
+# every subcommand that reads a file, with the option it requires
+FILE_COMMANDS = [
+    ["maxdef"],
+    ["chromatic"],
+    ["deficiency"],
+    ["classify2"],
+    ["switch", "--set", "u"],
+    ["switching-range"],
+    ["cover-check", "--cover", "u"],
+    ["dot"],
+]
+
+
+def assert_one_error_line(capsys, path: str, prefix: str) -> None:
+    """Every file-reading subcommand exits 2 on ``path``, with nothing on
+    stdout and one stderr line starting with ``prefix``."""
+    for command, *options in FILE_COMMANDS:
+        code, out, err = run(capsys, [command, path, *options])
+        assert (code, out) == (2, ""), command
+        assert err.startswith(prefix) and err.count("\n") == 1, (command, err)
+
+
 class TestUsageErrors:
-    def test_missing_file_exits_2(self, capsys):
-        code, _, err = run(capsys, ["chromatic", "/nonexistent.sg"])
-        assert code == 2
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        assert_one_error_line(capsys, str(tmp_path / "missing.sg"), "error: ")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.sg"
-        path.write_text("e a a +\n")
-        code, _, err = run(capsys, ["maxdef", str(path)])
-        assert code == 2
-        assert "line 1" in err
+        path.write_text("e a b +\ne c c -\n")
+        assert_one_error_line(capsys, str(path), "parse error: line 2: ")
 
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 2
 
     def test_directory_path_exits_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, ["maxdef", str(tmp_path)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert_one_error_line(capsys, str(tmp_path), "error: ")
 
     def test_invalid_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bytes.sg"
         path.write_bytes(b"e a b +\n\xff\xfe\n")
-        code, out, err = run(capsys, ["maxdef", str(path)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert_one_error_line(capsys, str(path), "error: ")
+
+    @pytest.mark.parametrize("argv", [["switch", "--set", "zz"], ["dot", "--cover", "zz"]])
+    def test_unknown_label_exits_2(self, capsys, triangle_file, argv):
+        code, out, err = run(capsys, [argv[0], triangle_file, *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown vertex label 'zz'\n"
 
     def test_gen_general_requires_vertices(self, capsys):
         code, out, err = run(capsys, ["gen", "--general", "--seed", "1"])
