@@ -345,9 +345,9 @@ class TestUsageErrors:
         path.write_bytes(b"e a b +\n\xff\xfe\n")
         assert_one_error_line(capsys, str(path), "error: ")
 
-    @pytest.mark.parametrize("argv", [["switch", "--set", "zz"], ["dot", "--cover", "zz"]])
-    def test_unknown_label_exits_2(self, capsys, triangle_file, argv):
-        code, out, err = run(capsys, [argv[0], triangle_file, *argv[1:]])
+    @pytest.mark.parametrize("command, option", [("switch", "--set"), ("dot", "--cover")])
+    def test_unknown_label_exits_2(self, capsys, triangle_file, command, option):
+        code, out, err = run(capsys, [command, triangle_file, option, "zz"])
         assert (code, out) == (2, "")
         assert err == "error: unknown vertex label 'zz'\n"
 
