@@ -39,10 +39,17 @@ vertex's partner is always ``id ^ 1`` and survives every contraction.  The
 working state keeps its live ids in ascending order, and keeps one lazy
 min-heap of candidate ids per rule for steps 3-9 (see ``MatchedState``).
 Steps 3 and 4 start with empty heaps, since nothing is forbidden after
-flattening; steps 5 and 6 start with the looped ids; steps 7-9 start with
-every live id.  Every rule reads its lowest candidate from its heap
-instead of scanning the state on every pass; the lowest qualifying id
-still acts.
+flattening; steps 5 and 6 start with the looped ids; step 7 with the ids of
+at least two neighbors, step 8 with the ids whose two sides both have
+neighbors, and step 9 with exactly the ids that have none.  Every rule reads
+its lowest candidate from its heap instead of scanning the state on every
+pass; the lowest qualifying id still acts, and the dispatcher asks a rule
+only while its heap holds an id.
+
+Each action appends a compact record to the run's trace log: the step, the
+ids its detail names, and what it settled.  ``TraceEntry`` objects, with
+their details and labels, are built from the records only when the trace
+is read (``MatchedState.trace``, ``MaxDefResult.trace``), each record once.
 """
 
 from __future__ import annotations
@@ -106,6 +113,124 @@ class NotBipartite(NamedTuple):
     component: tuple[str, ...]
 
 
+class _TraceLog:
+    """A run's actions as compact records, one tuple per action, whose
+    first element is the step.  ``read`` renders the records not rendered
+    yet into ``TraceEntry`` objects and returns the entries of all of them;
+    ``freeze`` returns them as one tuple, the same object while no record
+    is added.  A record holds only ids, counts, and sets and lists that
+    nothing mutates after it is appended."""
+
+    __slots__ = ("source", "records", "entries", "frozen")
+
+    def __init__(self, source: SignedGraph):
+        self.source = source
+        self.records: list[tuple] = []
+        self.entries: list[TraceEntry] = []
+        self.frozen: tuple[TraceEntry, ...] = ()
+
+    def read(self) -> list[TraceEntry]:
+        entries, records = self.entries, self.records
+        while len(entries) < len(records):
+            entries.append(_render(self.source, records[len(entries)]))
+        return entries
+
+    def freeze(self) -> tuple[TraceEntry, ...]:
+        if len(self.frozen) < len(self.records):
+            self.frozen = tuple(self.read())
+        return self.frozen
+
+
+# Why a blocked pair ends the run (steps 3, 5) or a side is ruled out, so
+# that its partner joins the cover (steps 4, 6).
+_WHY = {
+    3: "are unusable (forbidden or looped)",
+    4: "is forbidden",
+    5: "carry loops",
+    6: "has a loop",
+}
+
+
+def _render(source: SignedGraph, record: tuple) -> TraceEntry:
+    """The trace entry of one record.  Layouts, by step:
+
+      1          (1, dropped original ids)
+      2          (2, detail), written when it happens, at most once a run
+      3, 5       (step, pair index)
+      4, 6, 9    (step, x, covered recovery set, newly forbidden ids)
+      7          (7, x, lowest pair side seen, covered set, forbidden ids)
+      8          (8, x, y, merge groups by survivor)
+      10         (10, cover labels)
+      11         (11, vertex count, degree sum)
+      12         (12, cycle, merge groups by survivor, or None when the
+                 cycle meets its mirror)
+
+    For steps 4, 6 and 7, x is the side ruled out and its partner is
+    committed; for step 9, x itself is committed."""
+    step = record[0]
+    if step == 1:
+        dropped = record[1]
+        return TraceEntry(
+            step=1,
+            detail=f"dropped {len(dropped)} vertices with no positive "
+            f"incidence: {', '.join(source.labels_of(dropped))}",
+        )
+    if step == 2:
+        return TraceEntry(step=2, detail=record[1])
+    if step in (3, 5):
+        p = record[1]
+        detail = f"both sides of pair {p + 1} {_WHY[step]}: no stable cover exists"
+        return TraceEntry(step=step, detail=detail)
+    if step in (4, 6, 7, 9):
+        _, x, *seen, covered, forbidden = record
+        if step == 9:
+            detail = f"{side_name(x)} has degree one and joins the cover"
+        else:
+            why = (
+                f"is adjacent to both {side_name(seen[0])} and "
+                f"{side_name(seen[0] ^ 1)}" if step == 7 else _WHY[step]
+            )
+            detail = f"{side_name(x)} {why}, so {side_name(x ^ 1)} must join the cover"
+        return TraceEntry(
+            step=step,
+            detail=detail,
+            pairs_removed=1,
+            s_added=source.labels_of(covered),
+            b_added=tuple(map(side_name, forbidden)),
+        )
+    if step == 10:
+        return TraceEntry(
+            step=10, detail="graph is empty; recovered cover " + ", ".join(record[1])
+        )
+    if step == 11:
+        _, vertices, edges = record
+        return TraceEntry(
+            step=11,
+            detail=f"built the forcing graph on {vertices} vertices with {edges} edges",
+        )
+    if step == 8:
+        _, x, y, groups = record
+        detail = (
+            f"edges {side_name(x)}~{side_name(y)} and "
+            f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the pairs together"
+        )
+    else:
+        _, cycle, groups = record
+        through = ", ".join(map(side_name, cycle))
+        if groups is None:
+            return TraceEntry(
+                step=12,
+                detail=f"forced cycle through {through} meets its own mirror: "
+                "no stable cover exists",
+            )
+        detail = f"contracted the forced cycle through {through} and its mirror"
+    merges = tuple(tuple(map(side_name, group)) for group in groups.values())
+    absorbed = sum(map(len, merges)) - len(merges)  # a survivor heads each group
+    return TraceEntry(
+        step=step, detail=detail, pairs_removed=absorbed // 2, merges=merges
+    )
+
+
 class MatchedState:
     """Mutable working state of a run on the flattened graph.
 
@@ -124,12 +249,25 @@ class MatchedState:
     ``__init__`` takes the flattened graph and starts the cover, forbidden
     and dropped sets and the trace empty.  ``queues[k]`` for k = 3..9 is a
     min-heap of ids holding every live id that passes step k's test
-    (``_QUEUE_TESTS``), and possibly stale ids.  Nothing is forbidden yet,
-    so the heaps of steps 3 and 4 start empty; those of steps 5 and 6
-    start with the looped ids, and those of steps 7-9 with every live id
-    (an ascending list is already a valid heap).  A rule pops the ids at
-    the top that fail its test and acts on the first that passes, so the
-    lowest qualifying id acts.
+    (``_QUEUE_TESTS``), and possibly stale ids.  Each heap starts from a
+    test that costs O(1) per id (an ascending list is already a valid
+    heap).  Nothing is forbidden yet, so the heaps of steps 3 and 4 start
+    empty; those of steps 5 and 6 start with the looped ids; step 7's with
+    the ids of at least two neighbors, step 8's with the ids whose own and
+    partner's neighbor sets are both non-empty, and step 9's with exactly
+    the ids of empty neighbor set.  The full tests of steps 7 and 8 are
+    left to the rules, since most runs that end early never reach most
+    ids.  A rule pops the ids at the top that fail its test and acts on
+    the first that passes, so the lowest qualifying id acts.
+
+    ``degree_sum`` is the sum of the neighbor-set sizes, kept current by
+    ``_delete_pair`` and ``_identify``, for the step-11 entry.  ``lowest``
+    is at most the lowest live id; the forcing walk raises it to that id
+    on each round.  Ids are never added, so it only rises, and the walks
+    of a run spend linear time in all to find their start, where asking
+    ``neg`` for its first key rescans the popped keys each time.  ``log``
+    holds the trace as compact records; ``trace`` renders it on read (see
+    ``_TraceLog``), so a run that never reads it builds no entry.
 
     A popped id stays popped because its test can only become true through
     an event that pushes it again.  A forbidden id stays forbidden until its
@@ -150,7 +288,7 @@ class MatchedState:
 
     __slots__ = (
         "source", "neg", "recovery", "kept_originals", "cover_ids", "forbidden",
-        "dropped", "trace", "validate", "checks", "queues",
+        "dropped", "log", "validate", "checks", "queues", "degree_sum", "lowest",
     )
 
     def __init__(
@@ -168,12 +306,26 @@ class MatchedState:
         self.cover_ids: set[int] = set()
         self.forbidden: set[int] = set()
         self.dropped: set[int] = set()
-        self.trace: list[TraceEntry] = []
+        self.log = _TraceLog(source)
         self.validate = validate
         self.checks = 0
+        self.degree_sum = sum(map(len, neg.values()))
+        self.lowest = 0
         looped = [x for x, nbrs in neg.items() if x in nbrs]
-        self.queues = {3: [], 4: [], 5: looped, 6: list(looped)}
-        self.queues.update((step, list(neg)) for step in (7, 8, 9))
+        self.queues = {
+            3: [],
+            4: [],
+            5: looped,
+            6: list(looped),
+            7: [x for x, nbrs in neg.items() if len(nbrs) > 1],
+            8: [x for x, nbrs in neg.items() if nbrs and neg[x ^ 1]],
+            9: [x for x, nbrs in neg.items() if not nbrs],
+        }
+
+    @property
+    def trace(self) -> list[TraceEntry]:
+        """The entries of the actions so far, in order; read, don't write."""
+        return self.log.read()
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
@@ -196,6 +348,8 @@ class MatchedState:
             for w in nbrs:
                 _check(w == x or x in self.neg[w], "asymmetric adjacency")
                 _check(w in live, "edge to a dead vertex")
+        degrees = sum(map(len, self.neg.values()))
+        _check(self.degree_sum == degrees, "degree-sum counter out of sync")
         _check(self.forbidden <= live, "forbidden set holds a dead id")
         _check(set(self.recovery) == live, "recovery keys out of sync")
         union: set[int] = set()
@@ -232,20 +386,27 @@ class ForcingGraph(NamedTuple):
 class MaxDefResult(NamedTuple):
     """Outcome of a run: the 0/1 maximum deficiency, a stable cover of the
     positive edges in original labels when the answer is 1, the step that
-    ended the run, and the full action trace.  ``checks`` counts the
-    invariant batches asserted when the run was validated; ``chi_verified``,
-    left out of the JSON, says whether chi = 3 was proved (see ``maxdef``)."""
+    ended the run, and the log of its actions.  ``trace``, the full action
+    trace, is rendered from the log on first read and is then the same
+    tuple on every read; ``steps_fired`` reads the steps from the log
+    without rendering.  ``checks`` counts the invariant batches asserted
+    when the run was validated; ``chi_verified``, left out of the JSON,
+    says whether chi = 3 was proved (see ``maxdef``)."""
 
     value: int
     cover: tuple[str, ...] | None
     terminating_step: int
-    trace: tuple[TraceEntry, ...]
+    log: _TraceLog
     checks: int = 0
     chi_verified: bool = False
 
     @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        return self.log.freeze()
+
+    @property
     def steps_fired(self) -> tuple[int, ...]:
-        return tuple(entry.step for entry in self.trace)
+        return tuple(record[0] for record in self.log.records)
 
     def to_json(self) -> dict:
         return {
@@ -306,22 +467,13 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
         validate=validate,
     )
     if dropped_step1:
-        state.trace.append(
-            TraceEntry(
-                step=1,
-                detail=f"dropped {len(dropped_step1)} vertices with no "
-                f"positive incidence: {', '.join(g.labels_of(dropped_step1))}",
-            )
-        )
+        state.log.records.append((1, dropped_step1))
     if len(kept) > len(recovery):  # some component had more than two vertices
-        state.trace.append(
-            TraceEntry(
-                step=2,
-                detail=f"collapsed {len(kept)} vertices into "
-                f"{state.pair_count()} matched pairs "
-                f"({sum(x in nbrs for x, nbrs in neg.items())} with loops)",
-            )
+        detail = (
+            f"collapsed {len(kept)} vertices into {state.pair_count()} matched "
+            f"pairs ({sum(x in nbrs for x, nbrs in neg.items())} with loops)"
         )
+        state.log.records.append((2, detail))
     if validate:
         state.check_invariants()
     return state
@@ -340,9 +492,13 @@ def _land(neg: dict[int, set[int]], a: int, b: int) -> None:
 
 def _delete_pair(st: MatchedState, p: int) -> None:
     for x in (2 * p, 2 * p + 1):
-        for nb in st.neg.pop(x):
-            if nb != x and nb in st.neg:
-                _discard_edge(st, nb, x)
+        nbrs = st.neg.pop(x)
+        if nbrs:
+            for nb in nbrs:
+                if nb != x:
+                    _discard_edge(st, nb, x)
+            # x's own entries, and one for x in each neighbor's set but x's
+            st.degree_sum -= 2 * len(nbrs) - (x in nbrs)
         st.recovery.pop(x)
         st.forbidden.discard(x)
 
@@ -356,25 +512,25 @@ def _discard_edge(st: MatchedState, w: int, dead: int) -> None:
         heappush(st.queues[9], w)
 
 
-def _commit(st: MatchedState, keep: int, step: int, detail: str) -> None:
+def _commit(st: MatchedState, keep: int, record: tuple) -> None:
     """Place ``keep`` into the cover, forbid its negative neighbors, and
-    delete its pair (the partner's vertices are discarded)."""
+    delete its pair (the partner's vertices are discarded).  ``record``
+    (the step and the ids its detail names) is logged with the covered
+    recovery set and the newly forbidden ids.  A side without neighbors,
+    as every step-9 commit is, forbids nothing, so the set work is
+    skipped."""
     drop = keep ^ 1
-    newly_forbidden = sorted(st.neg[keep] - st.forbidden - {keep, drop})
-    st.cover_ids |= st.recovery[keep]
+    nbrs = st.neg[keep]
+    if nbrs:
+        newly_forbidden = sorted(nbrs - st.forbidden - {keep, drop})
+        _forbid(st, newly_forbidden)
+    else:
+        newly_forbidden = ()
+    covered = st.recovery[keep]  # popped below, so never grown afterwards
+    st.cover_ids |= covered
     st.dropped |= st.recovery[drop]
-    _forbid(st, newly_forbidden)
-    covered = st.source.labels_of(st.recovery[keep])
     _delete_pair(st, keep >> 1)
-    st.trace.append(
-        TraceEntry(
-            step=step,
-            detail=detail,
-            pairs_removed=1,
-            s_added=covered,
-            b_added=tuple(side_name(x) for x in newly_forbidden),
-        )
-    )
+    st.log.records.append((*record, covered, newly_forbidden))
 
 
 def _forbid(st: MatchedState, ids: list[int]) -> None:
@@ -445,27 +601,25 @@ def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] 
     return None
 
 
-def _blocked_pair(st: MatchedState, step: int, why: str) -> int | None:
+def _blocked_pair(st: MatchedState, step: int) -> int | None:
     """Shared body of steps 3 and 5: the pair of the lowest id that passes
     the step's test, recorded as blocking the run."""
     hit = _lowest_queued(st, step)
     if hit is None:
         return None
     p = hit[0] >> 1
-    detail = f"both sides of pair {p + 1} {why}: no stable cover exists"
-    st.trace.append(TraceEntry(step=step, detail=detail))
+    st.log.records.append((step, p))
     return p
 
 
-def _commit_partner(st: MatchedState, step: int, why: str) -> bool:
+def _commit_partner(st: MatchedState, step: int) -> bool:
     """Shared body of steps 4 and 6: commit the partner of the lowest id
     that passes the step's test."""
     hit = _lowest_queued(st, step)
     if hit is None:
         return False
     x = hit[0]
-    detail = f"{side_name(x)} {why}, so {side_name(x ^ 1)} must join the cover"
-    _commit(st, x ^ 1, step=step, detail=detail)
+    _commit(st, x ^ 1, (step, x))
     return True
 
 
@@ -475,23 +629,23 @@ def step3_check(st: MatchedState) -> int | None:
     forbidden.  Such a pair ends the run with value 0; its trace entry is
     recorded here.  (Pairs blocked by loops alone belong to the loop
     checks, steps 5 and 6.)"""
-    return _blocked_pair(st, 3, "are unusable (forbidden or looped)")
+    return _blocked_pair(st, 3)
 
 
 def step4_resolve(st: MatchedState) -> bool:
     """For the lowest forbidden id, commit the partner."""
-    return _commit_partner(st, 4, "is forbidden")
+    return _commit_partner(st, 4)
 
 
 def step5_check(st: MatchedState) -> int | None:
     """Lowest pair with loops on both sides; ends the run with value 0, and
     its trace entry is recorded here."""
-    return _blocked_pair(st, 5, "carry loops")
+    return _blocked_pair(st, 5)
 
 
 def step6_resolve(st: MatchedState) -> bool:
     """For the lowest id with a loop, commit the partner."""
-    return _commit_partner(st, 6, "has a loop")
+    return _commit_partner(st, 6)
 
 
 def step7_resolve(st: MatchedState) -> bool:
@@ -502,15 +656,7 @@ def step7_resolve(st: MatchedState) -> bool:
     if hit is None:
         return False
     x, seen = hit
-    low = min(seen)
-    _commit(
-        st,
-        x ^ 1,
-        step=7,
-        detail=f"{side_name(x)} is adjacent to both "
-        f"{side_name(low)} and {side_name(low ^ 1)}, so "
-        f"{side_name(x ^ 1)} must join the cover",
-    )
+    _commit(st, x ^ 1, (7, x, min(seen)))
     return True
 
 
@@ -524,13 +670,7 @@ def step8_merge(st: MatchedState) -> bool:
         return False
     x, forced = hit
     y = min(forced)
-    _identify(
-        st,
-        {y ^ 1: x, y: x ^ 1},
-        step=8,
-        detail=f"edges {side_name(x)}~{side_name(y)} and "
-        f"{side_name(x ^ 1)}~{side_name(y ^ 1)} force the pairs together",
-    )
+    _identify(st, {y ^ 1: x, y: x ^ 1}, (8, x, y))
     return True
 
 
@@ -542,32 +682,29 @@ def step9_pendant(st: MatchedState) -> bool:
     if hit is None:
         return False
     x = hit[0]
-    _commit(
-        st,
-        x,
-        step=9,
-        detail=f"{side_name(x)} has degree one and joins the cover",
-    )
+    _commit(st, x, (9, x))
     return True
 
 
-def _identify(
-    st: MatchedState, mapping: dict[int, int], step: int, detail: str
-) -> None:
+def _identify(st: MatchedState, mapping: dict[int, int], record: tuple) -> None:
     """Merge each absorbed id into its survivor (``mapping``: absorbed id ->
     surviving id) in place, in time linear in the absorbed ids' degrees,
-    and record the step's entry: one merge group per survivor, the
-    survivor first, then its absorbed ids in mapping order.  Only runs
-    while no id is forbidden or looped, so absorbed ids carry no loop.
-    Keeps the candidate queues current: a survivor that gains a loop is
-    queued for steps 5 and 6 (no id has a loop on entry, so every looped id
-    on exit is such a survivor); both ends of every moved edge are queued
-    for steps 7 and 8, and their partners for step 8 (a spare entry costs
-    the lazy heap a pop)."""
+    and log ``record`` (the step and the ids its detail names) with the
+    merge groups: one per survivor, the survivor first, then its absorbed
+    ids in mapping order.  Only runs while no id is forbidden or looped, so
+    absorbed ids carry no loop.  Keeps the candidate queues current: a
+    survivor that gains a loop is queued for steps 5 and 6 (no id has a
+    loop on entry, so every looped id on exit is such a survivor); both
+    ends of every moved edge are queued for steps 7 and 8, and their
+    partners for step 8 (a spare entry costs the lazy heap a pop).  Keeps
+    ``degree_sum`` current by re-summing the sets it touches: the absorbed
+    ids', their neighbors' and the survivors'."""
     _check(
         not st.forbidden and _lowest_queued(st, 6) is None,
         "identifications only happen with nothing forbidden or looped",
     )
+    touched = set(mapping.values()).union(mapping, *(st.neg[x] for x in mapping))
+    st.degree_sum -= sum(len(st.neg[x]) for x in touched)
     grown: set[int] = set()
     groups: dict[int, list[int]] = {}
     for dead, rep in mapping.items():
@@ -587,14 +724,8 @@ def _identify(
         heappush(st.queues[7], x)
         heappush(st.queues[8], x)
         heappush(st.queues[8], x ^ 1)
-    st.trace.append(
-        TraceEntry(
-            step=step,
-            detail=detail,
-            pairs_removed=len(mapping) // 2,
-            merges=tuple(tuple(map(side_name, group)) for group in groups.values()),
-        )
-    )
+    st.degree_sum += sum(len(st.neg[x]) for x in touched if x in st.neg)
+    st.log.records.append((*record, groups))
 
 
 def build_forcing_graph(st: MatchedState) -> ForcingGraph:
@@ -609,7 +740,10 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
     visited vertices are checked."""
     _check(bool(st.neg), "forcing graph of an empty graph")
     out: dict[int, tuple[int, ...]] = {}
-    x = next(iter(st.neg))
+    x = st.lowest
+    while x not in st.neg:
+        x += 1
+    st.lowest = x
     while x not in out:
         nbrs = st.neg[x]
         _check(x not in nbrs, "loop survived to the forcing stage")
@@ -622,9 +756,7 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
         x = out[x][0]
     if st.validate:
         st.checks += 1
-    edges = sum(map(len, st.neg.values()))
-    detail = f"built the forcing graph on {len(st.neg)} vertices with {edges} edges"
-    st.trace.append(TraceEntry(step=11, detail=detail))
+    st.log.records.append((11, len(st.neg), st.degree_sum))
     return ForcingGraph(out_adj=out)
 
 
@@ -638,33 +770,19 @@ def step12_contract(st: MatchedState, fg: ForcingGraph) -> bool:
     cycle = walk[walk.index(fg.out_adj[walk[-1]][0]) :]
     pairs = [x >> 1 for x in cycle]
     if len(set(pairs)) < len(cycle):
-        st.trace.append(
-            TraceEntry(
-                step=12,
-                detail="forced cycle through "
-                + ", ".join(side_name(x) for x in cycle)
-                + " meets its own mirror: no stable cover exists",
-            )
-        )
+        st.log.records.append((12, cycle, None))
         return False
     rep = cycle[pairs.index(min(pairs))]
     absorbed = [x for x in cycle if x != rep]
     mapping = {x: rep for x in absorbed}
     mapping.update({x ^ 1: rep ^ 1 for x in absorbed})
-    _identify(
-        st,
-        mapping,
-        step=12,
-        detail="contracted the forced cycle through "
-        + ", ".join(side_name(x) for x in cycle)
-        + " and its mirror",
-    )
+    _identify(st, mapping, (12, cycle))
     return True
 
 
 def _result(
     step: int,
-    trace: list[TraceEntry],
+    log: _TraceLog,
     checks: int = 0,
     cover: tuple[str, ...] | None = None,
 ) -> MaxDefResult:
@@ -673,7 +791,7 @@ def _result(
         value=0 if cover is None else 1,
         cover=cover,
         terminating_step=step,
-        trace=tuple(trace),
+        log=log,
         checks=checks,
     )
 
@@ -728,10 +846,13 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
             + ", ".join(st.component)
             + " has an odd cycle: no stable cover exists"
         )
-        return _result(2, [TraceEntry(step=2, detail=detail)])
+        log = _TraceLog(g)
+        log.records.append((2, detail))
+        return _result(2, log)
 
     # Looked up at call time, so that wrappers installed on the module
-    # attributes (as the benchmark's tracer does) see every rule call.
+    # attributes (as the benchmark's tracer does) see every rule call that
+    # can fire.  A rule with an empty queue cannot, and is not asked.
     ladder = (
         (3, step3_check),
         (4, step4_resolve),
@@ -741,14 +862,17 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
         (8, step8_merge),
         (9, step9_pendant),
     )
+    queues = st.queues
     while True:
         before = st.pair_count()
         for step, rule in ladder:
+            if not queues[step]:
+                continue
             found = rule(st)
             if found is None or found is False:
                 continue
             if step in (3, 5):  # a blocked pair ends the run with value 0
-                return _result(step, st.trace, st.checks)
+                return _result(step, st.log, st.checks)
             break
         else:
             if not st.neg:
@@ -758,11 +882,10 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
                     "internal defect: produced cover fails self-certification",
                 )
                 cover = st.source.labels_of(st.cover_ids)
-                detail = "graph is empty; recovered cover " + ", ".join(cover)
-                st.trace.append(TraceEntry(step=10, detail=detail))
-                return _result(10, st.trace, st.checks, cover)
+                st.log.records.append((10, cover))
+                return _result(10, st.log, st.checks, cover)
             if not step12_contract(st, build_forcing_graph(st)):
-                return _result(12, st.trace, st.checks)
+                return _result(12, st.log, st.checks)
         _check(st.pair_count() < before, "action left the pair count flat")
         if st.validate:
             st.check_invariants()

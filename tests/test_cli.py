@@ -144,6 +144,24 @@ class TestMaxdefCommand:
         steps = [entry["step"] for entry in report["result"]["trace"]]
         assert steps == [8, 9, 11, 12, 6, 4, 10]
 
+    def test_report_renders_no_trace_entry_without_trace_flag(
+        self, capsys, monkeypatch, worked_file
+    ):
+        # The trace is rendered from the run's records only when read; with
+        # --trace, the golden CLI digest covers the output.
+        argv = ["maxdef", worked_file, "--assume-chromatic-3"]
+        reports = [run_json(capsys, argv)]
+
+        def refuse(source, record):
+            raise AssertionError("a trace entry was rendered")
+
+        monkeypatch.setattr(sys.modules["sigdef.maxdef"], "_render", refuse)
+        reports.append(run_json(capsys, argv))
+        for code, report, err in reports:
+            assert (code, err) == (0, "")
+            del report["elapsed_ms"], report["parse_ms"]
+        assert reports[0] == reports[1]
+
     def test_assume_flag_silences_note(self, capsys, worked_file):
         code, _, err = run_json(
             capsys, ["maxdef", worked_file, "--assume-chromatic-3"]

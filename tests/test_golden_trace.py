@@ -25,6 +25,7 @@ from sigdef import (
     maxdef,
     switching_report,
 )
+from sigdef.maxdef import MatchedState
 
 from test_acceptance import _exhaustive_graphs
 
@@ -106,6 +107,26 @@ def test_golden_trace_digest():
     assert planted_values == [1] * PLANTED_COUNT
     assert reached >= {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, sorted(reached)
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_trace_read_during_a_run_equals_trace_read_after(monkeypatch):
+    # Records are rendered when the trace is read.  A record holding a set
+    # that a later action grows (as ``_identify`` grows a survivor's
+    # recovery set) would render differently during the run and after it.
+    check = MatchedState.check_invariants
+
+    def check_and_read(st):
+        check(st)
+        assert len(st.trace) == len(st.log.records)
+
+    monkeypatch.setattr(MatchedState, "check_invariants", check_and_read)
+    for g, kwargs in _corpus():
+        try:
+            unread = maxdef(g, **kwargs)
+        except (NotThreeChromaticError, ValueError):
+            continue
+        read = maxdef(g, validate=True, **kwargs)
+        assert read.trace == unread.trace
 
 
 def _oracle_record(g) -> dict:

@@ -3,6 +3,11 @@ rule steps, the forcing graph, and whole runs against the oracle."""
 
 from __future__ import annotations
 
+import functools
+import math
+import statistics
+import sys
+
 import pytest
 
 from sigdef import (
@@ -42,6 +47,7 @@ from conftest import (
     WORKED_COVER,
     WORKED_NEGATIVE,
     best_cpu_seconds,
+    cpu_timed_rounds,
     forbid_star,
     gadget_copies,
     loop_family,
@@ -623,6 +629,12 @@ class TestCandidateSets:
         with pytest.raises(AssertionError, match=message):
             st.check_invariants()
 
+    def test_degree_sum_out_of_sync_rejected(self, worked_example):
+        st = flat(worked_example)
+        st.degree_sum += 1
+        with pytest.raises(AssertionError, match="degree-sum counter out of sync"):
+            st.check_invariants()
+
     def test_thousand_pair_validated_run(self):
         # about a thousand actions, each followed by the full invariant batch
         g = planted(1000, seed=0)
@@ -677,6 +689,34 @@ class TestGadgetFamily:
     def test_hundred_copies(self):
         result = maxdef(gadget_copies(100), assume_chromatic_3=True, validate=True)
         assert result.value == 1
+
+    def test_forcing_entries_count_the_copies_left(self):
+        # each copy has 8 vertices and 5 negative edges (degree sum 10), and
+        # each round removes one copy
+        k = 5
+        result = maxdef(gadget_copies(k), assume_chromatic_3=True, validate=True)
+        assert [entry.detail for entry in result.trace if entry.step == 11] == [
+            f"built the forcing graph on {8 * c} vertices with {10 * c} edges"
+            for c in range(k, 0, -1)
+        ]
+
+    def test_log_log_slope_at_most_1_2(self):
+        # Re-summing the degrees of all live ids for every step-11 entry
+        # made this family grow with slope 1.42.  Timed as the planted gate
+        # in test_acceptance.py: interleaved rounds, best of 3 in this
+        # process's CPU time, the cyclic collector paused.
+        sizes = (1000, 2000, 4000, 8000, 16000)
+        graphs = [gadget_copies(pairs // 4) for pairs in sizes]
+        runs = [functools.partial(maxdef, g, assume_chromatic_3=True) for g in graphs]
+        best = [math.inf] * len(sizes)
+        for i, result, elapsed in cpu_timed_rounds(runs):
+            assert result.value == 1
+            best[i] = min(best[i], elapsed)
+        slope = statistics.linear_regression(
+            [math.log(p) for p in sizes], [math.log(t) for t in best]
+        ).slope
+        timings = ", ".join(f"{p}p={t:.3f}s" for p, t in zip(sizes, best))
+        assert slope <= 1.2, f"gadget log-log slope {slope:.2f}: {timings}"
 
     def test_four_thousand_pairs_under_half_a_second(self):
         # Every round walks the forcing digraph; rebuilding all of it each
@@ -780,6 +820,36 @@ class TestTailFamily:
         traces = {maxdef(tail_family(3, 2, seed), assume_chromatic_3=True).trace
                   for seed in range(4)}
         assert len(traces) == 1
+
+
+class TestDispatch:
+    def test_rules_asked_only_when_their_queue_holds_work(self, monkeypatch):
+        # planted(4000, 1) takes 3999 actions, nearly all step-9 commits;
+        # asking all seven rules on every pass made 27,986 rule calls.
+        module = sys.modules["sigdef.maxdef"]
+        calls = dict.fromkeys(range(3, 10), 0)
+        fires = dict.fromkeys(range(3, 10), 0)
+
+        def counting(step, rule):
+            def wrapped(st):
+                found = rule(st)
+                calls[step] += 1
+                fires[step] += found is not None and found is not False
+                return found
+
+            return wrapped
+
+        names = {3: "step3_check", 4: "step4_resolve", 5: "step5_check",
+                 6: "step6_resolve", 7: "step7_resolve", 8: "step8_merge",
+                 9: "step9_pendant"}
+        for step, name in names.items():
+            monkeypatch.setattr(module, name, counting(step, getattr(module, name)))
+        result = maxdef(planted(4000, 1), assume_chromatic_3=True)
+        assert result.value == 1
+        # every firing call goes through the module attributes
+        traced = {step: result.steps_fired.count(step) for step in names}
+        assert fires == traced
+        assert sum(calls.values()) <= 1.1 * len(result.trace), calls
 
 
 class TestOneEntryPerOutcome:
