@@ -140,6 +140,15 @@ class _TraceLog:
             self.frozen = tuple(self.read())
         return self.frozen
 
+    # by the entries, so that results compare and hash by their traces
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _TraceLog):
+            return NotImplemented
+        return self.freeze() == other.freeze()
+
+    def __hash__(self) -> int:
+        return hash(self.freeze())
+
 
 # Why a blocked pair ends the run (steps 3, 5) or a side is ruled out, so
 # that its partner joins the cover (steps 4, 6).

@@ -583,6 +583,12 @@ class TestMaxDefRuns:
                 setattr(value, field, None)
             assert getattr(value, field) is before
 
+    def test_results_compare_and_hash_by_value(self, worked_example):
+        first = maxdef(worked_example, assume_chromatic_3=True)
+        second = maxdef(worked_example, assume_chromatic_3=True)
+        assert first == second
+        assert hash(first) == hash(second)
+
     def test_trace_entry_defaults(self):
         entry = TraceEntry(step=9, detail="pendant")
         assert entry == TraceEntry(9, "pendant", 0, (), (), ())
