@@ -119,7 +119,8 @@ class _TraceLog:
     yet into ``TraceEntry`` objects and returns the entries of all of them;
     ``freeze`` returns them as one tuple, the same object while no record
     is added.  A record holds only ids, counts, and sets and lists that
-    nothing mutates after it is appended."""
+    nothing mutates after it is appended.  Logs compare and hash by their
+    entries, so results compare and hash by their traces."""
 
     __slots__ = ("source", "records", "entries", "frozen")
 
@@ -140,7 +141,6 @@ class _TraceLog:
             self.frozen = tuple(self.read())
         return self.frozen
 
-    # by the entries, so that results compare and hash by their traces
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _TraceLog):
             return NotImplemented
