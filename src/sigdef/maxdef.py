@@ -29,22 +29,25 @@ recorded in the trace by the routine that decides it; the dispatcher
 itself records only the odd-cycle verdict of step 2 and the certified
 cover of step 10.  Flattening (steps 1-2) contracts each positive
 component's sides into one pair; identification (steps 8, 12) merges
-vertices in place.  Both land their edges through one routine, ``_land``:
-an edge landing on one vertex becomes a loop, one landing inside a pair is
-dropped, and parallels merge.  Every rule names its choice by id, never by
-set iteration order, so neighbor sets can be mutated freely.
+vertices in place.  Both land edges by one rule: an edge landing on one
+vertex becomes a loop, one landing inside a pair is dropped, and parallels
+merge.  Identification lands each edge through ``_land``; flattening fills
+each vertex's neighbor set from its own edges.  Every rule names its choice
+by id, never by set iteration order, so neighbor sets can be mutated
+freely.
 
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
 working state keeps its live ids in ascending order, and keeps one lazy
-min-heap of candidate ids per rule for steps 3-9 (see ``MatchedState``).
-Steps 3 and 4 start with empty heaps, since nothing is forbidden after
-flattening; steps 5 and 6 start with the looped ids; step 7 with the ids of
-at least two neighbors, step 8 with the ids whose two sides both have
-neighbors, and step 9 with exactly the ids that have none.  Every rule reads
-its lowest candidate from its heap instead of scanning the state on every
-pass; the lowest qualifying id still acts, and the dispatcher asks a rule
-only while its heap holds an id.
+queue of candidate ids per rule for steps 3-9 (see ``MatchedState``): the
+ids seeded when the state is built, read off in ascending order, and a
+min-heap of the ids pushed since.  Steps 3 and 4 start with no ids, since
+nothing is forbidden after flattening; steps 5 and 6 start with the looped
+ids; step 7 with the ids of at least two neighbors, step 8 with the ids
+whose two sides both have neighbors, and step 9 with exactly the ids that
+have none.  Every rule reads its lowest candidate from its queue instead of
+scanning the state on every pass; the lowest qualifying id still acts, and
+the dispatcher asks a rule only while its queue holds an id.
 
 Each action appends a compact record to the run's trace log: the step, the
 ids its detail names, and what it settled.  ``TraceEntry`` objects, with
@@ -55,7 +58,7 @@ is read (``MatchedState.trace``, ``MaxDefResult.trace``), each record once.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import oracle
 from .core import SignedGraph, _check, covers_positive, is_stable
@@ -240,6 +243,27 @@ def _render(source: SignedGraph, record: tuple) -> TraceEntry:
     )
 
 
+class _Queue:
+    """One rule's candidate ids, read lowest first.  ``seed`` holds the
+    ids that passed the rule's seeding filter, in descending order, so
+    that the lowest leaves from its end in O(1); ``heap`` is a min-heap of
+    the ids pushed since.  A long run drops most seeded ids untouched, and
+    popping them off a heap would cost a sift through it each."""
+
+    __slots__ = ("seed", "heap")
+
+    def __init__(self, ascending: list[int]):
+        self.seed = ascending[::-1]
+        self.heap: list[int] = []
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.seed
+        yield from self.heap
+
+    def push(self, x: int) -> None:
+        heappush(self.heap, x)
+
+
 class MatchedState:
     """Mutable working state of a run on the flattened graph.
 
@@ -257,24 +281,20 @@ class MatchedState:
 
     ``__init__`` takes the flattened graph and starts the cover, forbidden
     and dropped sets and the trace empty.  ``queues[k]`` for k = 3..9 is a
-    min-heap of ids holding every live id that passes step k's test
-    (``_QUEUE_TESTS``), and possibly stale ids.  Each heap starts from a
-    test that costs O(1) per id (an ascending list is already a valid
-    heap).  Nothing is forbidden yet, so the heaps of steps 3 and 4 start
-    empty; those of steps 5 and 6 start with the looped ids; step 7's with
-    the ids of at least two neighbors, step 8's with the ids whose own and
-    partner's neighbor sets are both non-empty, and step 9's with exactly
-    the ids of empty neighbor set.  The full tests of steps 7 and 8 are
-    left to the rules, since most runs that end early never reach most
-    ids.  A rule pops the ids at the top that fail its test and acts on
-    the first that passes, so the lowest qualifying id acts.
+    ``_Queue`` of ids holding every live id that passes step k's test
+    (``_QUEUE_TESTS``), and possibly stale ids.  Each queue is seeded by a
+    test that costs O(1) per id.  Nothing is forbidden yet, so the queues
+    of steps 3 and 4 start empty; those of steps 5 and 6 start with the
+    looped ids; step 7's with the ids of at least two neighbors, step 8's
+    with the ids whose own and partner's neighbor sets are both non-empty,
+    and step 9's with exactly the ids of empty neighbor set.  The full
+    tests of steps 7 and 8 are left to the rules, since most runs that end
+    early never reach most ids.  A rule pops the lowest ids that fail its
+    test and acts on the first that passes, so the lowest qualifying id
+    acts.
 
     ``degree_sum`` is the sum of the neighbor-set sizes, kept current by
-    ``_delete_pair`` and ``_identify``, for the step-11 entry.  ``lowest``
-    is at most the lowest live id; the forcing walk raises it to that id
-    on each round.  Ids are never added, so it only rises, and the walks
-    of a run spend linear time in all to find their start, where asking
-    ``neg`` for its first key rescans the popped keys each time.  ``log``
+    ``_delete_pair`` and ``_identify``, for the step-11 entry.  ``log``
     holds the trace as compact records; ``trace`` renders it on read (see
     ``_TraceLog``), so a run that never reads it builds no entry.
 
@@ -297,7 +317,7 @@ class MatchedState:
 
     __slots__ = (
         "source", "neg", "recovery", "kept_originals", "cover_ids", "forbidden",
-        "dropped", "log", "validate", "checks", "queues", "degree_sum", "lowest",
+        "dropped", "log", "validate", "checks", "queues", "degree_sum",
     )
 
     def __init__(
@@ -319,16 +339,15 @@ class MatchedState:
         self.validate = validate
         self.checks = 0
         self.degree_sum = sum(map(len, neg.values()))
-        self.lowest = 0
         looped = [x for x, nbrs in neg.items() if x in nbrs]
         self.queues = {
-            3: [],
-            4: [],
-            5: looped,
-            6: list(looped),
-            7: [x for x, nbrs in neg.items() if len(nbrs) > 1],
-            8: [x for x, nbrs in neg.items() if nbrs and neg[x ^ 1]],
-            9: [x for x, nbrs in neg.items() if not nbrs],
+            3: _Queue([]),
+            4: _Queue([]),
+            5: _Queue(looped),
+            6: _Queue(looped),
+            7: _Queue([x for x, nbrs in neg.items() if len(nbrs) > 1]),
+            8: _Queue([x for x, nbrs in neg.items() if nbrs and neg[x ^ 1]]),
+            9: _Queue([x for x, nbrs in neg.items() if not nbrs]),
         }
 
     @property
@@ -443,10 +462,10 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
         )
     dropped_step1 = [v for v in range(g.n) if not g.pos_adj[v]]
 
-    contract: dict[int, int] = {}
+    contract = [-1] * g.n  # original vertex -> internal id; -1 when dropped
     recovery: dict[int, set[int]] = {}
     for root in kept:
-        if root in contract:
+        if contract[root] >= 0:
             continue
         a_id = len(recovery)
         contract[root] = a_id
@@ -455,7 +474,7 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
         while queue:
             u = queue.pop()
             for w in g.pos_adj[u]:
-                if w not in contract:
+                if contract[w] < 0:
                     contract[w] = contract[u] ^ 1
                     recovery[contract[w]].add(w)
                     queue.append(w)
@@ -463,11 +482,23 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
                     found = recovery[a_id] | recovery[a_id + 1]
                     return NotBipartite(component=g.labels_of(found))
 
+    # Each original vertex adds its own negative neighbors to its side's set
+    # in one update, so each set is written from its own vertices only and
+    # the far ends are read from the compact ``contract`` list: a far end
+    # on the same side lands as a loop, one on the partner side is dropped,
+    # and one dropped in step 1 is removed below.  The far end adds the
+    # mirror edge in its own turn.
     neg: dict[int, set[int]] = {x: set() for x in recovery}
+    at, neg_adj = contract.__getitem__, g.neg_adj
     for u in kept:
-        for w in g.neg_adj[u]:
-            if w > u and w in contract:
-                _land(neg, contract[u], contract[w])
+        if neg_adj[u]:
+            x = contract[u]
+            nbrs = neg[x]
+            nbrs.update(map(at, neg_adj[u]))
+            nbrs.discard(x ^ 1)
+    if dropped_step1:
+        for nbrs in neg.values():
+            nbrs.discard(-1)
     state = MatchedState(
         source=g,
         neg=neg,
@@ -518,7 +549,7 @@ def _discard_edge(st: MatchedState, w: int, dead: int) -> None:
     nbrs = st.neg[w]
     nbrs.discard(dead)
     if not nbrs:
-        heappush(st.queues[9], w)
+        st.queues[9].push(w)
 
 
 def _commit(st: MatchedState, keep: int, record: tuple) -> None:
@@ -548,9 +579,9 @@ def _forbid(st: MatchedState, ids: list[int]) -> None:
     side."""
     st.forbidden.update(ids)
     for x in ids:
-        heappush(st.queues[3], x)
-        heappush(st.queues[3], x ^ 1)
-        heappush(st.queues[4], x)
+        st.queues[3].push(x)
+        st.queues[3].push(x ^ 1)
+        st.queues[4].push(x)
 
 
 def _both_unusable(st: MatchedState, x: int) -> bool:
@@ -600,13 +631,18 @@ def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] 
     """Lowest live id in step's queue that passes its test, with what the
     test found.  Dead ids and ids that fail are popped for good."""
     queue, test = st.queues[step], _QUEUE_TESTS[step]
-    while queue:
-        x = queue[0]
+    seed, heap = queue.seed, queue.heap
+    while seed or heap:
+        from_seed = bool(seed) and not (heap and heap[0] < seed[-1])
+        x = seed[-1] if from_seed else heap[0]
         if x in st.neg:
             found = test(st, x)
             if found:
                 return x, found
-        heappop(queue)
+        if from_seed:
+            seed.pop()
+        else:
+            heappop(heap)
     return None
 
 
@@ -705,7 +741,7 @@ def _identify(st: MatchedState, mapping: dict[int, int], record: tuple) -> None:
     survivor that gains a loop is queued for steps 5 and 6 (no id has a
     loop on entry, so every looped id on exit is such a survivor); both
     ends of every moved edge are queued for steps 7 and 8, and their
-    partners for step 8 (a spare entry costs the lazy heap a pop).  Keeps
+    partners for step 8 (a spare entry costs the queue a pop).  Keeps
     ``degree_sum`` current by re-summing the sets it touches: the absorbed
     ids', their neighbors' and the survivors'."""
     _check(
@@ -727,12 +763,12 @@ def _identify(st: MatchedState, mapping: dict[int, int], record: tuple) -> None:
         groups.setdefault(rep, [rep]).append(dead)
     for x in groups:
         if st.has_loop(x):
-            heappush(st.queues[5], x)
-            heappush(st.queues[6], x)
+            st.queues[5].push(x)
+            st.queues[6].push(x)
     for x in grown:
-        heappush(st.queues[7], x)
-        heappush(st.queues[8], x)
-        heappush(st.queues[8], x ^ 1)
+        st.queues[7].push(x)
+        st.queues[8].push(x)
+        st.queues[8].push(x ^ 1)
     st.degree_sum += sum(len(st.neg[x]) for x in touched if x in st.neg)
     st.log.records.append((*record, groups))
 
@@ -749,10 +785,7 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
     visited vertices are checked."""
     _check(bool(st.neg), "forcing graph of an empty graph")
     out: dict[int, tuple[int, ...]] = {}
-    x = st.lowest
-    while x not in st.neg:
-        x += 1
-    st.lowest = x
+    x = next(iter(st.neg))
     while x not in out:
         nbrs = st.neg[x]
         _check(x not in nbrs, "loop survived to the forcing stage")
@@ -862,20 +895,22 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
     # Looked up at call time, so that wrappers installed on the module
     # attributes (as the benchmark's tracer does) see every rule call that
     # can fire.  A rule with an empty queue cannot, and is not asked.
-    ladder = (
-        (3, step3_check),
-        (4, step4_resolve),
-        (5, step5_check),
-        (6, step6_resolve),
-        (7, step7_resolve),
-        (8, step8_merge),
-        (9, step9_pendant),
-    )
-    queues = st.queues
+    ladder = [
+        (step, rule, st.queues[step].seed, st.queues[step].heap)
+        for step, rule in (
+            (3, step3_check),
+            (4, step4_resolve),
+            (5, step5_check),
+            (6, step6_resolve),
+            (7, step7_resolve),
+            (8, step8_merge),
+            (9, step9_pendant),
+        )
+    ]
     while True:
         before = st.pair_count()
-        for step, rule in ladder:
-            if not queues[step]:
+        for step, rule, seed, heap in ladder:
+            if not (seed or heap):
                 continue
             found = rule(st)
             if found is None or found is False:

@@ -3,8 +3,10 @@ rule steps, the forcing graph, and whole runs against the oracle."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+import pickle
 import statistics
 import sys
 
@@ -588,6 +590,21 @@ class TestMaxDefRuns:
         second = maxdef(worked_example, assume_chromatic_3=True)
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_results_pickle_and_copy_round_trip(self, worked_example):
+        # one result whose trace is still unrendered, one already read
+        unread = maxdef(worked_example, assume_chromatic_3=True)
+        read = maxdef(worked_example, assume_chromatic_3=True)
+        expected = read.trace
+        for value in (unread, read):
+            for clone in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert clone == value and clone is not value
+                assert clone.trace == expected
+                assert clone.steps_fired == value.steps_fired
 
     def test_trace_entry_defaults(self):
         entry = TraceEntry(step=9, detail="pendant")
