@@ -247,8 +247,8 @@ class _Queue:
     """One rule's candidate ids, read lowest first.  ``seed`` holds the
     ids that passed the rule's seeding filter, in descending order, so
     that the lowest leaves from its end in O(1); ``heap`` is a min-heap of
-    the ids pushed since.  A long run drops most seeded ids untouched, and
-    popping them off a heap would cost a sift through it each."""
+    the ids pushed since.  A long run pops most seeded ids after one failed
+    test, and popping them off a heap would cost a sift through it each."""
 
     __slots__ = ("seed", "heap")
 
@@ -894,7 +894,8 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
 
     # Looked up at call time, so that wrappers installed on the module
     # attributes (as the benchmark's tracer does) see every rule call that
-    # can fire.  A rule with an empty queue cannot, and is not asked.
+    # can fire.  A rule with an empty queue cannot, and is not asked; each
+    # queue's two lists are bound here, so that asking costs no call.
     ladder = [
         (step, rule, st.queues[step].seed, st.queues[step].heap)
         for step, rule in (
