@@ -210,8 +210,8 @@ def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> Sign
 def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    if not 1 <= args.max_pairs <= oracle.DEFAULT_PAIR_BOUND:
-        raise ValueError(f"--max-pairs must lie in 1..{oracle.DEFAULT_PAIR_BOUND}")
+    if args.max_pairs < 1:
+        raise ValueError("--max-pairs must be at least 1")
     rng = random.Random(args.seed)
     mismatches = 0
     compared = 0
@@ -239,7 +239,7 @@ def _cmd_crosscheck(args, _: None) -> tuple[dict, int]:
             mismatches += 1
             print(
                 f"mismatch on instance {index}: procedure said {result.value}, "
-                f"enumeration said {expected}\n{sgio.serialize_sg(g)}",
+                f"2-SAT oracle said {expected}\n{sgio.serialize_sg(g)}",
                 file=sys.stderr,
             )
         if g.n <= oracle.DEFAULT_EXHAUSTIVE_BOUND:
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "crosscheck",
         _cmd_crosscheck,
-        "random equivalence runs of the decision procedure vs. enumeration",
+        "random equivalence runs of the decision procedure vs. the 2-SAT oracle",
         file=False,
     )
     p.add_argument("--count", type=int, default=100)
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pairs",
         type=int,
         default=8,
-        help=f"largest matched instance, at most {oracle.DEFAULT_PAIR_BOUND} pairs",
+        help="largest matched instance, in pairs (at least 1)",
     )
     p.add_argument("--seed", type=int, required=True)
     return parser

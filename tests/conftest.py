@@ -80,6 +80,27 @@ def planted(pairs: int, seed: int) -> SignedGraph:
     return generate_matched(pairs, 0.0, 0, negative_edges=edges)
 
 
+def threshold_matched(pairs: int, edges_per_pair: float, seed: int) -> SignedGraph:
+    """Matched graph a_i--b_i with ``round(edges_per_pair * pairs)``
+    distinct negative edges, each between two sides of different pairs
+    drawn uniformly.  Reading each pair as one variable, every negative
+    edge is a random 2-clause, so near one edge per pair the family sits
+    at the random 2-SAT threshold (Chvatal and Reed 1992; Goerdt 1996):
+    both answers occur, and zeros can survive until step 12.  The edges
+    are drawn one by one, in time linear in their number."""
+    rng = random.Random(seed)
+    n = 2 * pairs
+    target = round(edges_per_pair * pairs)
+    names = [f"{'ab'[x & 1]}{(x >> 1) + 1}" for x in range(n)]
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < target:
+        u, v = sorted((rng.randrange(n), rng.randrange(n)))
+        if u >> 1 != v >> 1:
+            seen.add((u, v))
+    edges = [(names[u], names[v]) for u, v in sorted(seen)]
+    return generate_matched(pairs, 0.0, 0, negative_edges=edges)
+
+
 def _gadget_edges(first: int, copies: int) -> list[tuple[str, str]]:
     """Negative edges of ``copies`` 4-pair gadgets on the pairs from
     ``first`` on (1-based)."""
@@ -207,6 +228,23 @@ def reference_report(g: SignedGraph) -> DeficiencyReport:
                 per_deficiency=first,
             )
     raise AssertionError("2n distinct positive colors always properly color")
+
+
+def reference_cover(g: SignedGraph) -> frozenset[int] | None:
+    """The first stable cover of the positive edges in the order of vertex
+    bitmasks, or None: a reference for ``oracle.stable_positive_cover``
+    that shares none of its code.  It tries every subset of the vertices,
+    so it takes graphs of at most 12 vertices."""
+    if g.n > 12:
+        raise ValueError(f"reference_cover takes at most 12 vertices, got {g.n}")
+    positive = [1 << u | 1 << v for u, v in g.positive_edges()]
+    every_edge = positive + [1 << u | 1 << v for u, v in g.negative_edges()]
+    for mask in range(1 << g.n):
+        if all(mask & edge for edge in positive) and not any(
+            mask & edge == edge for edge in every_edge
+        ):
+            return frozenset(v for v in range(g.n) if mask >> v & 1)
+    return None
 
 
 def neg(edges):

@@ -7,6 +7,7 @@ import copy
 import functools
 import math
 import pickle
+import random
 import statistics
 import sys
 
@@ -55,6 +56,7 @@ from conftest import (
     loop_family,
     planted,
     tail_family,
+    threshold_matched,
 )
 
 
@@ -843,6 +845,46 @@ class TestTailFamily:
         traces = {maxdef(tail_family(3, 2, seed), assume_chromatic_3=True).trace
                   for seed in range(4)}
         assert len(traces) == 1
+
+
+class TestCoverOracleAtScale:
+    # The 2-SAT cover oracle has no size bound, so the ladder is held
+    # against it on every family at 16k pairs or more (tail: 4000 pairs).
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (lambda: planted(16000, 1), 1),
+            (lambda: gadget_copies(4000), 1),
+            (lambda: tail_family(999, 250, 1), 1),
+            (lambda: forbid_star(16000), 1),
+            (lambda: forbid_star(16000, blocked=True), 0),
+            (lambda: loop_family(16000), 1),
+            (lambda: loop_family(16000, both=True), 0),
+        ],
+        ids=["planted", "gadget", "tail", "star", "star-blocked", "loop", "loop-both"],
+    )
+    def test_agrees_with_maxdef(self, make, value):
+        g = make()
+        truth = 1 if stable_positive_cover(g) is not None else 0
+        assert maxdef(g, assume_chromatic_3=True).value == truth == value
+
+
+class TestThresholdFamily:
+    def test_agrees_with_oracle_at_the_2sat_threshold(self):
+        # 90 seeded matched graphs of 200, 500 and 2000 pairs with 0.8-1.2
+        # negative edges per pair: both answers occur, and some zeros are
+        # only found by the forcing walk of steps 11-12.
+        rng = random.Random(7)
+        outcomes = set()
+        for index in range(90):
+            pairs = (200, 500, 2000)[index % 3]
+            g = threshold_matched(pairs, rng.uniform(0.8, 1.2), rng.getrandbits(32))
+            result = maxdef(g, assume_chromatic_3=True)
+            truth = 1 if stable_positive_cover(g) is not None else 0
+            assert result.value == truth, index
+            outcomes.add((result.value, result.terminating_step))
+        assert {value for value, _ in outcomes} == {0, 1}
+        assert (0, 12) in outcomes
 
 
 class TestDispatch:

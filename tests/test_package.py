@@ -6,7 +6,7 @@ import sigdef
 
 PUBLIC_NAMES = {
     "BoundExceededError", "Coloration", "DEFAULT_EXHAUSTIVE_BOUND",
-    "DEFAULT_PAIR_BOUND", "DEFAULT_SWITCHING_BOUND", "DeficiencyReport",
+    "DEFAULT_SWITCHING_BOUND", "DeficiencyReport",
     "ForcingGraph", "MatchedState", "MaxDefResult", "NotBipartite",
     "NotThreeChromaticError", "SgParseError", "SignedGraph", "SwitchingReport",
     "TraceEntry", "TwoChromaticCase", "achieve_switching_deficiency",
