@@ -193,10 +193,13 @@ def _cmd_dot(args, g: SignedGraph) -> tuple[str, int]:
 
 def _crosscheck_instance(rng: random.Random, max_pairs: int, index: int) -> SignedGraph:
     # Alternate matched-form instances (the contraction-heavy paths) with
-    # general ones (exercising the flattening).
+    # general ones (exercising the flattening).  A matched instance draws
+    # about 0.8-1.6 negative edges per pair, near the 2-SAT threshold, so
+    # that both answers and the late steps occur at every size.
     if index % 2 == 0:
         pairs = rng.randint(1, max_pairs)
-        return sgio.generate_matched(pairs, rng.uniform(0.0, 0.5), rng.getrandbits(32))
+        neg_prob = min(0.5, rng.uniform(0.8, 1.6) / (2 * max(pairs - 1, 1)))
+        return sgio.generate_matched(pairs, neg_prob, rng.getrandbits(32))
     n = rng.randint(2, oracle.DEFAULT_SWITCHING_BOUND)
     return sgio.generate_general(
         n,

@@ -24,10 +24,12 @@ Rule ladder, in priority order (numbering is part of the trace contract):
 
 ``maxdef`` is the single dispatcher: it tries steps 3..9 in order, ends
 the run on a blocked pair (3, 5), and after every action checks that the
-pair count shrank and, when validating, the invariants.  Each outcome is
-recorded in the trace by the routine that decides it; the dispatcher
-itself records only the odd-cycle verdict of step 2 and the certified
-cover of step 10.  Flattening (steps 1-2) contracts each positive
+pair count shrank.  It alone knows whether a run is validated; such a run
+checks the invariants after flattening and after every action, and counts
+each of those batches, and the step-11 walk's own checks, in ``checks``.
+Each outcome is recorded in the trace by the routine that decides it; the
+dispatcher itself records only the odd-cycle verdict of step 2 and the
+certified cover of step 10.  Flattening (steps 1-2) contracts each positive
 component's sides into one pair; identification (steps 8, 12) merges
 vertices in place.  Both land edges by one rule: an edge landing on one
 vertex becomes a loop, one landing inside a pair is dropped, and parallels
@@ -52,7 +54,8 @@ the dispatcher asks a rule only while its queue holds an id.
 Each action appends a compact record to the run's trace log: the step, the
 ids its detail names, and what it settled.  ``TraceEntry`` objects, with
 their details and labels, are built from the records only when the trace
-is read (``MatchedState.trace``, ``MaxDefResult.trace``), each record once.
+is read (``MatchedState.trace``, ``MaxDefResult.trace``, both the log's one
+tuple), each record once.
 """
 
 from __future__ import annotations
@@ -118,30 +121,24 @@ class NotBipartite(NamedTuple):
 
 class _TraceLog:
     """A run's actions as compact records, one tuple per action, whose
-    first element is the step.  ``read`` renders the records not rendered
-    yet into ``TraceEntry`` objects and returns the entries of all of them;
-    ``freeze`` returns them as one tuple, the same object while no record
-    is added.  A record holds only ids, counts, and sets and lists that
-    nothing mutates after it is appended.  Logs compare and hash by their
-    entries, so results compare and hash by their traces."""
+    first element is the step.  ``freeze`` returns the entries of all of
+    them as one tuple, the same object while no record is added; it renders
+    only the records added since the last read into ``TraceEntry`` objects.
+    A record holds only ids, counts, and sets and lists that nothing
+    mutates after it is appended.  Logs compare and hash by their entries,
+    so results compare and hash by their traces."""
 
-    __slots__ = ("source", "records", "entries", "frozen")
+    __slots__ = ("source", "records", "frozen")
 
     def __init__(self, source: SignedGraph):
         self.source = source
         self.records: list[tuple] = []
-        self.entries: list[TraceEntry] = []
         self.frozen: tuple[TraceEntry, ...] = ()
 
-    def read(self) -> list[TraceEntry]:
-        entries, records = self.entries, self.records
-        while len(entries) < len(records):
-            entries.append(_render(self.source, records[len(entries)]))
-        return entries
-
     def freeze(self) -> tuple[TraceEntry, ...]:
-        if len(self.frozen) < len(self.records):
-            self.frozen = tuple(self.read())
+        done, records = len(self.frozen), self.records
+        if done < len(records):
+            self.frozen += tuple(_render(self.source, r) for r in records[done:])
         return self.frozen
 
     def __eq__(self, other: object) -> bool:
@@ -295,8 +292,11 @@ class MatchedState:
 
     ``degree_sum`` is the sum of the neighbor-set sizes, kept current by
     ``_delete_pair`` and ``_identify``, for the step-11 entry.  ``log``
-    holds the trace as compact records; ``trace`` renders it on read (see
-    ``_TraceLog``), so a run that never reads it builds no entry.
+    holds the trace as compact records; ``trace`` renders it on read into
+    the tuple that ``MaxDefResult.trace`` returns (see ``_TraceLog``), so a
+    run that never reads it builds no entry.  The state does not know
+    whether its run is validated: ``check_invariants`` only checks, and the
+    dispatcher calls and counts it.
 
     A popped id stays popped because its test can only become true through
     an event that pushes it again.  A forbidden id stays forbidden until its
@@ -317,7 +317,7 @@ class MatchedState:
 
     __slots__ = (
         "source", "neg", "recovery", "kept_originals", "cover_ids", "forbidden",
-        "dropped", "log", "validate", "checks", "queues", "degree_sum",
+        "dropped", "log", "queues", "degree_sum",
     )
 
     def __init__(
@@ -326,7 +326,6 @@ class MatchedState:
         neg: dict[int, set[int]],
         recovery: dict[int, set[int]],
         kept_originals: frozenset[int],
-        validate: bool = False,
     ):
         self.source = source
         self.neg = neg
@@ -336,8 +335,6 @@ class MatchedState:
         self.forbidden: set[int] = set()
         self.dropped: set[int] = set()
         self.log = _TraceLog(source)
-        self.validate = validate
-        self.checks = 0
         self.degree_sum = sum(map(len, neg.values()))
         looped = [x for x, nbrs in neg.items() if x in nbrs]
         self.queues = {
@@ -351,15 +348,12 @@ class MatchedState:
         }
 
     @property
-    def trace(self) -> list[TraceEntry]:
-        """The entries of the actions so far, in order; read, don't write."""
-        return self.log.read()
+    def trace(self) -> tuple[TraceEntry, ...]:
+        """The entries of the actions so far, in order."""
+        return self.log.freeze()
 
     def has_loop(self, x: int) -> bool:
         return x in self.neg[x]
-
-    def pair_count(self) -> int:
-        return len(self.neg) // 2
 
     def check_invariants(self) -> None:
         """Structural sanity of the matched form; raises AssertionError on
@@ -396,7 +390,6 @@ class MatchedState:
             queued = set(self.queues[step])
             lost = [x for x in keys if x not in queued and test(self, x)]
             _check(not lost, f"step-{step} queue misses candidates {lost}")
-        self.checks += 1
 
 
 class ForcingGraph(NamedTuple):
@@ -416,10 +409,12 @@ class MaxDefResult(NamedTuple):
     positive edges in original labels when the answer is 1, the step that
     ended the run, and the log of its actions.  ``trace``, the full action
     trace, is rendered from the log on first read and is then the same
-    tuple on every read; ``steps_fired`` reads the steps from the log
-    without rendering.  ``checks`` counts the invariant batches asserted
-    when the run was validated; ``chi_verified``, left out of the JSON,
-    says whether chi = 3 was proved (see ``maxdef``)."""
+    tuple on every read, the one the run's ``MatchedState.trace`` returned;
+    ``steps_fired`` reads the steps from the log without rendering.
+    ``checks`` counts the invariant batches the dispatcher asserted when
+    the run was validated: one after flattening, one after every action,
+    and one for the step-11 walk, and 0 otherwise.  ``chi_verified``, left
+    out of the JSON, says whether chi = 3 was proved (see ``maxdef``)."""
 
     value: int
     cover: tuple[str, ...] | None
@@ -444,7 +439,7 @@ class MaxDefResult(NamedTuple):
         }
 
 
-def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipartite:
+def flatten(g: SignedGraph) -> MatchedState | NotBipartite:
     """Reduce a signed graph to matched form.
 
     Vertices without positive incidence are dropped.  Each positive
@@ -452,7 +447,8 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
     The two sides collapse to one vertex each -- the side holding the
     component's smallest original id becomes the low (``a``) side -- with
     negative edges inside a side becoming a loop, the negative edge between
-    the two new partners deleted, and parallel negatives merged.
+    the two new partners deleted, and parallel negatives merged.  The state
+    is returned unchecked; a validated run checks it in the dispatcher.
     """
     kept = [v for v in range(g.n) if g.pos_adj[v]]
     if not kept:
@@ -500,22 +496,16 @@ def flatten(g: SignedGraph, *, validate: bool = False) -> MatchedState | NotBipa
         for nbrs in neg.values():
             nbrs.discard(-1)
     state = MatchedState(
-        source=g,
-        neg=neg,
-        recovery=recovery,
-        kept_originals=frozenset(kept),
-        validate=validate,
+        source=g, neg=neg, recovery=recovery, kept_originals=frozenset(kept)
     )
     if dropped_step1:
         state.log.records.append((1, dropped_step1))
     if len(kept) > len(recovery):  # some component had more than two vertices
         detail = (
-            f"collapsed {len(kept)} vertices into {state.pair_count()} matched "
+            f"collapsed {len(kept)} vertices into {len(neg) // 2} matched "
             f"pairs ({sum(x in nbrs for x, nbrs in neg.items())} with loops)"
         )
         state.log.records.append((2, detail))
-    if validate:
-        state.check_invariants()
     return state
 
 
@@ -796,8 +786,6 @@ def build_forcing_graph(st: MatchedState) -> ForcingGraph:
             _check(x in st.neg[nb], "forcing edges must mirror")
         out[x] = tuple(sorted(nb ^ 1 for nb in nbrs))
         x = out[x][0]
-    if st.validate:
-        st.checks += 1
     st.log.records.append((11, len(st.neg), st.degree_sum))
     return ForcingGraph(out_adj=out)
 
@@ -820,22 +808,6 @@ def step12_contract(st: MatchedState, fg: ForcingGraph) -> bool:
     mapping.update({x ^ 1: rep ^ 1 for x in absorbed})
     _identify(st, mapping, (12, cycle))
     return True
-
-
-def _result(
-    step: int,
-    log: _TraceLog,
-    checks: int = 0,
-    cover: tuple[str, ...] | None = None,
-) -> MaxDefResult:
-    """The run's outcome: value 1 exactly when a cover was recovered."""
-    return MaxDefResult(
-        value=0 if cover is None else 1,
-        cover=cover,
-        terminating_step=step,
-        log=log,
-        checks=checks,
-    )
 
 
 def maxdef(
@@ -880,8 +852,10 @@ def maxdef(
 
 
 def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
-    """Run the ladder on ``g`` and return its outcome, chi unchecked."""
-    st = flatten(g, validate=validate)
+    """Run the ladder on ``g`` and return its outcome, chi unchecked.  When
+    validating, check the invariants after flattening and after every
+    action, and count each batch, and the step-11 walk, in ``checks``."""
+    st = flatten(g)
     if isinstance(st, NotBipartite):
         detail = (
             "positive component on "
@@ -890,7 +864,11 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
         )
         log = _TraceLog(g)
         log.records.append((2, detail))
-        return _result(2, log)
+        return MaxDefResult(0, None, 2, log)
+    checks = 0
+    if validate:
+        st.check_invariants()
+        checks = 1
 
     # Looked up at call time, so that wrappers installed on the module
     # attributes (as the benchmark's tracer does) see every rule call that
@@ -909,7 +887,7 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
         )
     ]
     while True:
-        before = st.pair_count()
+        before = len(st.neg)
         for step, rule, seed, heap in ladder:
             if not (seed or heap):
                 continue
@@ -917,7 +895,7 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
             if found is None or found is False:
                 continue
             if step in (3, 5):  # a blocked pair ends the run with value 0
-                return _result(step, st.log, st.checks)
+                return MaxDefResult(0, None, step, st.log, checks)
             break
         else:
             if not st.neg:
@@ -928,9 +906,13 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
                 )
                 cover = st.source.labels_of(st.cover_ids)
                 st.log.records.append((10, cover))
-                return _result(10, st.log, st.checks, cover)
-            if not step12_contract(st, build_forcing_graph(st)):
-                return _result(12, st.log, st.checks)
-        _check(st.pair_count() < before, "action left the pair count flat")
-        if st.validate:
+                return MaxDefResult(1, cover, 10, st.log, checks)
+            fg = build_forcing_graph(st)
+            if validate:  # the walk checks what it visits: one batch
+                checks += 1
+            if not step12_contract(st, fg):
+                return MaxDefResult(0, None, 12, st.log, checks)
+        _check(len(st.neg) < before, "action left the pair count flat")
+        if validate:
             st.check_invariants()
+            checks += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import sigdef
-from sigdef import parse_sg
-from sigdef.cli import main
+from sigdef import maxdef, parse_sg, stable_positive_cover
+from sigdef.cli import _crosscheck_instance, main
 
 from conftest import PADDING, WORKED_NEGATIVE, WORKED_POSITIVE
 
@@ -143,6 +144,25 @@ class TestMaxdefCommand:
         assert code == 0
         steps = [entry["step"] for entry in report["result"]["trace"]]
         assert steps == [8, 9, 11, 12, 6, 4, 10]
+
+    def test_trace_ends_with_step12_refutation(self, capsys, sg_file):
+        # the forced chain a1 -> a2 -> a3 -> b1 runs into a1's own partner
+        text = "".join(f"e a{i} b{i} +\n" for i in range(1, 6))
+        text += "e a1 b2 -\ne a2 b3 -\ne a1 a3 -\ne b1 b4 -\ne a4 b5 -\ne b1 a5 -\n"
+        code, report, _ = run_json(
+            capsys, ["maxdef", sg_file(text), "--trace", "--assume-chromatic-3"]
+        )
+        assert code == 0
+        assert report["result"]["value"] == 0
+        assert report["result"]["trace"][-1] == {
+            "step": 12,
+            "detail": "forced cycle through a1, a2, a3, b1, a4, a5 meets its own "
+            "mirror: no stable cover exists",
+            "pairs_removed": 0,
+            "s_added": [],
+            "b_added": [],
+            "merges": [],
+        }
 
     def test_report_renders_no_trace_entry_without_trace_flag(
         self, capsys, monkeypatch, worked_file
@@ -309,6 +329,25 @@ class TestCrosscheck:
         assert isinstance(report["elapsed_ms"], float) and report["elapsed_ms"] >= 0.0
         assert "parse_ms" in report and report["parse_ms"] is None
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_matched_instances_reach_both_answers_and_late_steps(self, seed):
+        # matched instances near the 2-SAT threshold: at 200 pairs they give
+        # ones and step-12 zeros, and reach steps 4 and 6-12
+        rng = random.Random(seed)
+        values, ends, steps = set(), set(), set()
+        for index in range(120):
+            g = _crosscheck_instance(rng, 200, index)
+            if index % 2 or not g.positive_edge_count:
+                continue
+            result = maxdef(g, assume_chromatic_3=True)
+            assert result.value == (stable_positive_cover(g) is not None)
+            values.add(result.value)
+            ends.add(result.terminating_step)
+            steps.update(result.steps_fired)
+        assert values == {0, 1}
+        assert 12 in ends
+        assert {4, 6, 7, 8, 9, 10, 11, 12} <= steps, sorted(steps)
+
     @pytest.mark.parametrize(
         "flag, value", [("--count", "-3"), ("--max-pairs", "0")]
     )
@@ -441,7 +480,7 @@ def golden_digest(capsys, calls) -> str:
     return digest.hexdigest()
 
 
-GOLDEN_CLI_DIGEST = "75e8f93b503fbc156f3da9eb1ca97276fade21e84b5cad78503a25907585a399"
+GOLDEN_CLI_DIGEST = "524fcba1d13b84f80b58acbf94cbf87f726c4db3c4f47f01379e0072407f408d"
 
 
 def test_golden_cli_digest(capsys, tmp_path):

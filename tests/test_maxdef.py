@@ -61,8 +61,9 @@ from conftest import (
 
 
 def flat(g) -> MatchedState:
-    state = flatten(g, validate=True)
+    state = flatten(g)
     assert isinstance(state, MatchedState)
+    state.check_invariants()
     return state
 
 
@@ -80,7 +81,7 @@ class TestFlatten:
         st = flat(worked_example)
         assert live_pairs(st) == list(range(7))
         assert all(len(r) == 1 for r in st.recovery.values())
-        assert st.trace == []  # nothing dropped, nothing collapsed
+        assert st.trace == ()  # nothing dropped, nothing collapsed
 
     def test_all_positive_triangle_not_bipartite(self, all_positive_triangle):
         verdict = flatten(all_positive_triangle)
@@ -470,6 +471,36 @@ class TestMaxDefRuns:
         validated = maxdef(worked_example, assume_chromatic_3=True, validate=True)
         assert validated.checks == 7
 
+    def test_dispatcher_validates_before_the_first_rule(
+        self, monkeypatch, worked_example
+    ):
+        # a flattened state with a negative edge inside pair 1 is refused
+        # before any rule, the forcing walk or step 12 sees it
+        module = sys.modules["sigdef.maxdef"]
+
+        def corrupt_flatten(g):
+            st = flatten(g)
+            st.neg[0].add(1)
+            st.neg[1].add(0)
+            return st
+
+        called = []
+
+        def recording(name):
+            def wrapped(*args):
+                called.append(name)
+
+            return wrapped
+
+        monkeypatch.setattr(module, "flatten", corrupt_flatten)
+        for name in ("step3_check", "step4_resolve", "step5_check", "step6_resolve",
+                     "step7_resolve", "step8_merge", "step9_pendant",
+                     "build_forcing_graph", "step12_contract"):
+            monkeypatch.setattr(module, name, recording(name))
+        with pytest.raises(AssertionError, match="negative edge inside a matched pair"):
+            maxdef(worked_example, assume_chromatic_3=True, validate=True)
+        assert called == []
+
     def test_triangle(self, triangle):
         # w is dropped (negative-only), leaving the isolated pair {u, v};
         # canonical tie-breaking picks the low side, and either endpoint of
@@ -545,6 +576,14 @@ class TestMaxDefRuns:
         assert result.value == 0
         assert result.terminating_step == 12
         assert result.steps_fired == (11, 12)
+        assert result.trace[-1] == TraceEntry(
+            step=12,
+            detail="forced cycle through a1, a2, a3, b1, a4, a5 meets its own "
+            "mirror: no stable cover exists",
+            pairs_removed=0,
+            merges=(),
+        )
+        assert result.checks == 2  # one batch after flatten, one for the walk
         assert stable_positive_cover(g) is None
 
     def test_value_zero_terminating_steps(self):
@@ -691,7 +730,7 @@ class TestChecksSurviveOptimize:
             "try:\n"
             "    st.check_invariants()\n"
             "except AssertionError as exc:\n"
-            "    print(__debug__, st.checks, exc)\n"
+            "    print(__debug__, exc)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(sigdef.__file__).parents[1]))
         proc = subprocess.run(
@@ -699,7 +738,7 @@ class TestChecksSurviveOptimize:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False 0 negative edge inside a matched pair\n"
+        assert proc.stdout == "False negative edge inside a matched pair\n"
 
 
 class TestGadgetFamily:
