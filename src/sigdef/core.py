@@ -166,8 +166,8 @@ def _from_sets(
     graph's label index, so it is not rebuilt."""
     return SignedGraph(
         labels=tuple(labels),
-        pos_adj=tuple([tuple(sorted(s)) for s in pos]),
-        neg_adj=tuple([tuple(sorted(s)) for s in neg]),
+        pos_adj=tuple([tuple(sorted(s) if len(s) > 1 else s) for s in pos]),
+        neg_adj=tuple([tuple(sorted(s) if len(s) > 1 else s) for s in neg]),
         _index=index,
     )
 

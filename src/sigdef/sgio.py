@@ -10,6 +10,10 @@ Labels are tokens free of whitespace and ``#``.  Declared (``v``) labels
 are numbered first, in the order of their ``v`` lines, even when a ``v``
 line follows edge lines; the other labels follow in order of first
 appearance.
+
+The parser reads the lines without numbering them.  Only when a line is
+bad does a second scan of the text number the lines, blank and comment
+lines included, and report the first bad one.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ def parse_sg(text: str) -> SignedGraph:
     """Parse .sg text into a SignedGraph.
 
     Duplicate same-sign edges are collapsed with a single warning carrying
-    the count; loops and malformed lines are rejected with line numbers.
+    the count.  The first loop or malformed line is rejected with its line
+    number as in the file, found by a second scan only when a line is bad.
     """
     index: dict[str, int] = {}
     pos: list[set[int]] = []
@@ -51,15 +56,15 @@ def parse_sg(text: str) -> SignedGraph:
     head = -1  # labels numbered before the first edge line, once it is read
     late: list[str] = []  # labels declared by a v line after an edge line
     duplicates = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not parts:
-            continue
-        if len(parts) == 4 and parts[0] == "e":
-            _, a, b, sign = parts
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for parts in map(str.split, lines):
+        if len(parts) == 4:
+            e, a, b, sign = parts
             target = by_sign.get(sign)
-            if target is None or a == b:
-                raise _line_error(line_no, raw, parts)
+            if target is None or a == b or e != "e":
+                break
             if head < 0:
                 head = len(pos)
             u = index.get(a)
@@ -86,19 +91,27 @@ def parse_sg(text: str) -> SignedGraph:
                 index[label] = len(pos)
                 pos.append(set())
                 neg.append(set())
-        else:
-            raise _line_error(line_no, raw, parts)
-    if late:
-        index, pos, neg = _declared_first(index, pos, neg, head, late)
-    if duplicates:
-        warnings.warn(
-            f"collapsed {duplicates} duplicate same-sign edge(s)", stacklevel=2
-        )
-    return _from_sets(index, pos, neg, index)
+        elif parts:
+            break
+    else:
+        del lines  # not held while the adjacency tuples are built
+        if late:
+            index, pos, neg = _declared_first(index, pos, neg, head, late)
+        if duplicates:
+            warnings.warn(
+                f"collapsed {duplicates} duplicate same-sign edge(s)", stacklevel=2
+            )
+        return _from_sets(index, pos, neg, index)
+    numbered = enumerate(text.splitlines(), start=1)  # some line is bad
+    raise next(filter(None, (_line_error(n, raw) for n, raw in numbered)))
 
 
-def _line_error(line_no: int, raw: str, parts: list[str]) -> SgParseError:
-    """What is wrong with a non-blank line that is no valid v or e line."""
+def _line_error(line_no: int, raw: str) -> SgParseError | None:
+    """What is wrong with line ``raw``, or None if it is blank, a comment,
+    or a valid v or e line."""
+    parts = raw.split("#", 1)[0].split()
+    if not parts or parts[0] == "v" and len(parts) == 2:
+        return None
     if parts[0] == "v":
         return SgParseError(line_no, f"expected 'v <label>', got {raw!r}")
     if parts[0] != "e":
@@ -107,7 +120,9 @@ def _line_error(line_no: int, raw: str, parts: list[str]) -> SgParseError:
         return SgParseError(
             line_no, f"expected 'e <label> <label> <+|->', got {raw!r}"
         )
-    return SgParseError(line_no, f"loop edge on {parts[1]!r} not allowed")
+    if parts[1] == parts[2]:
+        return SgParseError(line_no, f"loop edge on {parts[1]!r} not allowed")
+    return None
 
 
 def _declared_first(

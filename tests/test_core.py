@@ -20,6 +20,7 @@ from sigdef import (
     deficiency,
     is_proper,
     is_stable,
+    parse_sg,
     switch,
     switch_coloration,
 )
@@ -66,6 +67,20 @@ class TestBuildGraph:
                 assert v in g.pos_adj[u]
             for u in g.neg_adj[v]:
                 assert v in g.neg_adj[u]
+        # A set of small ids may iterate out of order: {40, 8} filled 40
+        # first iterates as (40, 8).  Each graph inserts 40 first.
+        labels = [f"v{i}" for i in range(41)]
+        text = "".join(f"v {lab}\n" for lab in labels)
+        flipped = build_graph([("v0", "v40", "+"), ("v0", "v8", "-")], labels)
+        for g in (
+            build_graph([("v0", "v40", "+"), ("v0", "v8", "+"),
+                         ("v0", "v40", "-"), ("v0", "v8", "-")], labels),
+            parse_sg(text + "e v0 v40 -\ne v0 v8 -\ne v0 v40 +\ne v0 v8 +\n"),
+            switch(flipped, {40}),
+        ):
+            assert g.neg_adj[0] == (8, 40)
+            for near in g.pos_adj + g.neg_adj:
+                assert list(near) == sorted(near)
 
     def test_isolated_vertices_via_vertices_arg(self):
         g = build_graph([("a", "b", "+")], vertices=["z", "a"])

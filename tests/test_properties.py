@@ -312,11 +312,11 @@ def test_parse_sg_agrees_with_build_graph(lines, newline):
 
 
 @SETTINGS
-@given(sg_lines(), st.data())
-def test_parse_sg_names_the_malformed_line(lines, data):
+@given(sg_lines(), st.sampled_from(["\n", "\r\n"]), st.data())
+def test_parse_sg_names_the_malformed_line(lines, newline, data):
     at = data.draw(st.integers(min_value=0, max_value=len(lines)))
     lines.insert(at, data.draw(st.sampled_from(MALFORMED_SG_LINES)))
     with pytest.raises(SgParseError) as caught:
-        parse_sg("\n".join(lines))
+        parse_sg(newline.join(lines))
     assert caught.value.line_no == at + 1
     assert str(caught.value).startswith(f"line {at + 1}: ")

@@ -43,6 +43,8 @@ class TestParse:
             parse_sg("edge a b +")
         with pytest.raises(SgParseError, match="line 1"):
             parse_sg("e a b *")
+        with pytest.raises(SgParseError, match="line 3: expected 'v <label>'"):
+            parse_sg("# c\ne a b + # c\nv\n")
 
     def test_duplicate_same_sign_warns_and_collapses(self):
         with pytest.warns(UserWarning, match="1 duplicate"):
