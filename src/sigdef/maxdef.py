@@ -41,9 +41,9 @@ freely.
 Vertices of the matched form use internal ids 2p / 2p+1 for pair p, so a
 vertex's partner is always ``id ^ 1`` and survives every contraction.  The
 working state keeps its live ids in ascending order, and keeps one lazy
-queue of candidate ids per rule for steps 3-9 (see ``MatchedState``): the
-ids seeded when the state is built, read off in ascending order, and a
-min-heap of the ids pushed since.  Steps 3 and 4 start with no ids, since
+min-heap of candidate ids per rule for steps 3-9 (see ``MatchedState``).
+Each starts as the ascending list of the ids that pass a cheap seeding
+filter, which is already a heap.  Steps 3 and 4 start with no ids, since
 nothing is forbidden after flattening; steps 5 and 6 start with the looped
 ids; step 7 with the ids of at least two neighbors, step 8 with the ids
 whose two sides both have neighbors, and step 9 with exactly the ids that
@@ -61,7 +61,7 @@ tuple), each record once.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import oracle
 from .core import SignedGraph, _check, covers_positive, is_stable
@@ -240,27 +240,6 @@ def _render(source: SignedGraph, record: tuple) -> TraceEntry:
     )
 
 
-class _Queue:
-    """One rule's candidate ids, read lowest first.  ``seed`` holds the
-    ids that passed the rule's seeding filter, in descending order, so
-    that the lowest leaves from its end in O(1); ``heap`` is a min-heap of
-    the ids pushed since.  A long run pops most seeded ids after one failed
-    test, and popping them off a heap would cost a sift through it each."""
-
-    __slots__ = ("seed", "heap")
-
-    def __init__(self, ascending: list[int]):
-        self.seed = ascending[::-1]
-        self.heap: list[int] = []
-
-    def __iter__(self) -> Iterator[int]:
-        yield from self.seed
-        yield from self.heap
-
-    def push(self, x: int) -> None:
-        heappush(self.heap, x)
-
-
 class MatchedState:
     """Mutable working state of a run on the flattened graph.
 
@@ -278,13 +257,15 @@ class MatchedState:
 
     ``__init__`` takes the flattened graph and starts the cover, forbidden
     and dropped sets and the trace empty.  ``queues[k]`` for k = 3..9 is a
-    ``_Queue`` of ids holding every live id that passes step k's test
-    (``_QUEUE_TESTS``), and possibly stale ids.  Each queue is seeded by a
-    test that costs O(1) per id.  Nothing is forbidden yet, so the queues
-    of steps 3 and 4 start empty; those of steps 5 and 6 start with the
-    looped ids; step 7's with the ids of at least two neighbors, step 8's
-    with the ids whose own and partner's neighbor sets are both non-empty,
-    and step 9's with exactly the ids of empty neighbor set.  The full
+    list used only through ``heapq``, a min-heap of ids holding every live
+    id that passes step k's test (``_QUEUE_TESTS``), and possibly stale and
+    repeated ids.  Each queue is seeded by a test that costs O(1) per id,
+    in the ascending order of ``neg``'s keys, so it starts as a valid heap.
+    Nothing is forbidden yet, so the queues of steps 3 and 4 start empty;
+    those of steps 5 and 6 start with the looped ids, each in its own list;
+    step 7's with the ids of at least two neighbors, step 8's with the ids
+    whose own and partner's neighbor sets are both non-empty, and step 9's
+    with exactly the ids of empty neighbor set.  The full
     tests of steps 7 and 8 are left to the rules, since most runs that end
     early never reach most ids.  A rule pops the lowest ids that fail its
     test and acts on the first that passes, so the lowest qualifying id
@@ -337,14 +318,14 @@ class MatchedState:
         self.log = _TraceLog(source)
         self.degree_sum = sum(map(len, neg.values()))
         looped = [x for x, nbrs in neg.items() if x in nbrs]
-        self.queues = {
-            3: _Queue([]),
-            4: _Queue([]),
-            5: _Queue(looped),
-            6: _Queue(looped),
-            7: _Queue([x for x, nbrs in neg.items() if len(nbrs) > 1]),
-            8: _Queue([x for x, nbrs in neg.items() if nbrs and neg[x ^ 1]]),
-            9: _Queue([x for x, nbrs in neg.items() if not nbrs]),
+        self.queues: dict[int, list[int]] = {
+            3: [],
+            4: [],
+            5: looped,
+            6: looped.copy(),
+            7: [x for x, nbrs in neg.items() if len(nbrs) > 1],
+            8: [x for x, nbrs in neg.items() if nbrs and neg[x ^ 1]],
+            9: [x for x, nbrs in neg.items() if not nbrs],
         }
 
     @property
@@ -387,9 +368,12 @@ class MatchedState:
         _check(self.cover_ids.isdisjoint(self.dropped), "vertex covered and dropped")
         _check(union | settled == self.kept_originals, "kept vertex lost")
         for step, test in _QUEUE_TESTS.items():
-            queued = set(self.queues[step])
+            heap = self.queues[step]
+            queued = set(heap)
             lost = [x for x in keys if x not in queued and test(self, x)]
             _check(not lost, f"step-{step} queue misses candidates {lost}")
+            ordered = all(heap[(i - 1) >> 1] <= heap[i] for i in range(1, len(heap)))
+            _check(ordered, f"step-{step} queue is not a min-heap")
 
 
 class ForcingGraph(NamedTuple):
@@ -539,7 +523,7 @@ def _discard_edge(st: MatchedState, w: int, dead: int) -> None:
     nbrs = st.neg[w]
     nbrs.discard(dead)
     if not nbrs:
-        st.queues[9].push(w)
+        heappush(st.queues[9], w)
 
 
 def _commit(st: MatchedState, keep: int, record: tuple) -> None:
@@ -569,9 +553,9 @@ def _forbid(st: MatchedState, ids: list[int]) -> None:
     side."""
     st.forbidden.update(ids)
     for x in ids:
-        st.queues[3].push(x)
-        st.queues[3].push(x ^ 1)
-        st.queues[4].push(x)
+        heappush(st.queues[3], x)
+        heappush(st.queues[3], x ^ 1)
+        heappush(st.queues[4], x)
 
 
 def _both_unusable(st: MatchedState, x: int) -> bool:
@@ -620,19 +604,14 @@ _QUEUE_TESTS = {
 def _lowest_queued(st: MatchedState, step: int) -> tuple[int, list[int] | bool] | None:
     """Lowest live id in step's queue that passes its test, with what the
     test found.  Dead ids and ids that fail are popped for good."""
-    queue, test = st.queues[step], _QUEUE_TESTS[step]
-    seed, heap = queue.seed, queue.heap
-    while seed or heap:
-        from_seed = bool(seed) and not (heap and heap[0] < seed[-1])
-        x = seed[-1] if from_seed else heap[0]
+    heap, test = st.queues[step], _QUEUE_TESTS[step]
+    while heap:
+        x = heap[0]
         if x in st.neg:
             found = test(st, x)
             if found:
                 return x, found
-        if from_seed:
-            seed.pop()
-        else:
-            heappop(heap)
+        heappop(heap)
     return None
 
 
@@ -753,12 +732,12 @@ def _identify(st: MatchedState, mapping: dict[int, int], record: tuple) -> None:
         groups.setdefault(rep, [rep]).append(dead)
     for x in groups:
         if st.has_loop(x):
-            st.queues[5].push(x)
-            st.queues[6].push(x)
+            heappush(st.queues[5], x)
+            heappush(st.queues[6], x)
     for x in grown:
-        st.queues[7].push(x)
-        st.queues[8].push(x)
-        st.queues[8].push(x ^ 1)
+        heappush(st.queues[7], x)
+        heappush(st.queues[8], x)
+        heappush(st.queues[8], x ^ 1)
     st.degree_sum += sum(len(st.neg[x]) for x in touched if x in st.neg)
     st.log.records.append((*record, groups))
 
@@ -873,9 +852,9 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
     # Looked up at call time, so that wrappers installed on the module
     # attributes (as the benchmark's tracer does) see every rule call that
     # can fire.  A rule with an empty queue cannot, and is not asked; each
-    # queue's two lists are bound here, so that asking costs no call.
+    # queue is bound here, so that asking costs no call.
     ladder = [
-        (step, rule, st.queues[step].seed, st.queues[step].heap)
+        (step, rule, st.queues[step])
         for step, rule in (
             (3, step3_check),
             (4, step4_resolve),
@@ -888,8 +867,8 @@ def _decide(g: SignedGraph, validate: bool) -> MaxDefResult:
     ]
     while True:
         before = len(st.neg)
-        for step, rule, seed, heap in ladder:
-            if not (seed or heap):
+        for step, rule, queue in ladder:
+            if not queue:
                 continue
             found = rule(st)
             if found is None or found is False:

@@ -209,16 +209,31 @@ class TestSteps5And6:
         _, st = self.looped_state(doubled=(2,))
         assert step5_check(st) == 1
 
-    def test_contraction_that_loops_both_sides_ends_at_step5(self):
-        # step 12 contracts a1, b3, a6, a4, a2, a5 into a1 and the mirror
-        # into b1: a5~a6 becomes a loop on a1, and a3~b5 and b2~b6 one on
-        # b1, so only the contraction can queue pair 1 for step 5
-        negative = [("a1", "a3"), ("a2", "b5"), ("a3", "b5"), ("a5", "a6"),
-                    ("b1", "a5"), ("b2", "a4"), ("b2", "b6"), ("b3", "b6"),
-                    ("b4", "a5"), ("b4", "a6")]
-        g = generate_matched(6, 0.0, 0, negative_edges=negative)
+    @pytest.mark.parametrize(
+        "pairs, negative, survivors",
+        [
+            # step 12 contracts a1, b3, a6, a4, a2, a5 into a1 and the mirror
+            # into b1: a5~a6 becomes a loop on a1, and a3~b5 and b2~b6 one on
+            # b1, so only the contraction can queue pair 1 for step 5
+            (6, [("a1", "a3"), ("a2", "b5"), ("a3", "b5"), ("a5", "a6"),
+                 ("b1", "a5"), ("b2", "a4"), ("b2", "b6"), ("b3", "b6"),
+                 ("b4", "a5"), ("b4", "a6")], ["a1", "b1"]),
+            # step 12 lists survivor b1 before a1, so both loops are queued
+            # for steps 5 and 6 in descending order; the validated run
+            # checks that each queue is still a min-heap
+            (5, [("a1", "b2"), ("a1", "a3"), ("b1", "a4"), ("a2", "b3"),
+                 ("b2", "b4"), ("b2", "a5"), ("a3", "b4"), ("b3", "b5")],
+             ["b1", "a1"]),
+        ],
+        ids=["a1-first", "b1-first"],
+    )
+    def test_contraction_that_loops_both_sides_ends_at_step5(
+        self, pairs, negative, survivors
+    ):
+        g = generate_matched(pairs, 0.0, 0, negative_edges=negative)
         result = maxdef(g, assume_chromatic_3=True, validate=True)
         assert result.steps_fired == (11, 12, 5)
+        assert [group[0] for group in result.trace[1].merges] == survivors
         assert result.value == 0 and stable_positive_cover(g) is None
 
     def test_step6_commits_partner(self):
